@@ -50,7 +50,6 @@ from .state import (
     entangling_phase,
     entangling_phase_value,
     entropy_from_concurrence,
-    is_maximally_entangled,
     report_from_parameters,
     schmidt_decompose,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "hamiltonian_energy",
     "hydrogen_pair_report",
     "hydrogen_phase",
-    "is_maximally_entangled",
     "loop_phase",
     "loop_time",
     "perturbation",

@@ -11,12 +11,13 @@ import argparse
 import math
 import sys
 
-from .constants import UnitSystem, constants_for, regime_check
+from .constants import RegimeCheck, UnitSystem, constants_for, regime_check
 from .design import SweepSpec, solve_omega2, solve_r2, sweep
 from .hydrogen import bohr_orbit, hydrogen_pair_report, hydrogen_phase
 from .metric import perturbation, rotating_disk_metric
 from .phase import sagnac_phase, two_radius_relative_phase
 from .state import (
+    EntanglementReport,
     InterferometerConfig,
     assemble_full_state,
     concurrence_from_delta,
@@ -80,9 +81,18 @@ def _units(args) -> UnitSystem:
     return UnitSystem(args.units)
 
 
-def _regime_payload(omega, r, consts) -> dict:
-    check = regime_check(omega, r, consts)
+def _regime_payload(check: RegimeCheck) -> dict:
     return {"beta": check.beta, "status": check.status.value}
+
+
+def _report_payload(report: EntanglementReport) -> dict:
+    return {
+        "delta": report.delta,
+        "concurrence": report.concurrence,
+        "schmidt": list(report.schmidt),
+        "entropy_bits": report.entropy_bits,
+        "maximal": report.maximal,
+    }
 
 
 def _matrix(array) -> list:
@@ -122,7 +132,7 @@ def cmd_metric(args) -> str:
             "h00": pert.h00,
             "h0phi": pert.h0phi,
             "full": _matrix(pert.full),
-            "regime": _regime_payload(args.omega, args.r, consts),
+            "regime": _regime_payload(regime_check(args.omega, args.r, consts)),
         }
     )
 
@@ -140,7 +150,7 @@ def cmd_phase(args) -> str:
         "t_loop": result.t_loop,
         "area": result.area,
         "h00": result.h00,
-        "regime": {"beta": result.regime.beta, "status": result.regime.status.value},
+        "regime": _regime_payload(result.regime),
     }
     if args.r2 is not None:
         payload["r2"] = args.r2
@@ -188,17 +198,8 @@ def cmd_state(args) -> str:
 
 def cmd_entangle(args) -> str:
     cfg = _config(args)
-    report = entanglement_report(cfg)
     payload = _config_payload(cfg)
-    payload.update(
-        {
-            "delta": report.delta,
-            "concurrence": report.concurrence,
-            "schmidt": list(report.schmidt),
-            "entropy_bits": report.entropy_bits,
-            "maximal": report.maximal,
-        }
-    )
+    payload.update(_report_payload(entanglement_report(cfg)))
     return to_json(payload)
 
 
@@ -297,17 +298,7 @@ def cmd_hydrogen(args) -> str:
         )
     n1, n2 = args.pair
     report = hydrogen_pair_report(n1, n2, consts)
-    return to_json(
-        {
-            "n1": n1,
-            "n2": n2,
-            "delta": report.delta,
-            "concurrence": report.concurrence,
-            "schmidt": list(report.schmidt),
-            "entropy_bits": report.entropy_bits,
-            "maximal": report.maximal,
-        }
-    )
+    return to_json({"n1": n1, "n2": n2, **_report_payload(report)})
 
 
 def _add_units(parser) -> None:
@@ -416,7 +407,7 @@ def main(argv=None) -> int:
         return 2
     try:
         output = _DISPATCH[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(output)

@@ -93,3 +93,13 @@ def regime_check(omega: float, r: float, consts: ConstantSet) -> RegimeCheck:
     else:
         status = RegimeStatus.OK
     return RegimeCheck(beta=beta, status=status)
+
+
+def require_linear_regime(omega: float, r: float, consts: ConstantSet) -> RegimeCheck:
+    """regime_check that raises ValueError when the status is Error."""
+    check = regime_check(omega, r, consts)
+    if check.status is RegimeStatus.ERROR:
+        raise ValueError(
+            f"rim speed beta = {check.beta:g} is outside the linear regime"
+        )
+    return check

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ConstantSet, RegimeStatus, regime_check
+from .constants import ConstantSet, RegimeStatus, regime_check, require_linear_regime
 from .state import (
+    MAXIMAL_TOL,
     InterferometerConfig,
     concurrence_from_delta,
     entangling_phase_value,
@@ -50,6 +51,16 @@ class SweepRow:
     regime: RegimeStatus
 
 
+def _require_maximal(delta: float) -> None:
+    # A solution past double resolution (omega1 - omega2 or r1^2 - r2^2 lost
+    # to rounding) misses (2k+1) pi; refuse it rather than return it.
+    c = concurrence_from_delta(delta)
+    if 1.0 - c > MAXIMAL_TOL:
+        raise ValueError(
+            f"solution not resolvable in double precision: concurrence {c:.9g}"
+        )
+
+
 def solve_omega2(
     m: float, r1: float, r2: float, omega1: float, k: int, consts: ConstantSet
 ) -> float:
@@ -61,13 +72,10 @@ def solve_omega2(
         raise ValueError("mass must be positive")
     if r1 == r2:
         raise ValueError("no solution: degenerate radii")
-    area_gap = math.pi * (r1 * r1 - r2 * r2)  # A1 - A2
+    area_gap = math.pi * ((r1 - r2) * (r1 + r2))  # A1 - A2
     omega2 = omega1 - (2 * k + 1) * math.pi * consts.hbar / (2.0 * m * area_gap)
-    check = regime_check(omega2, max(r1, r2), consts)
-    if check.status is RegimeStatus.ERROR:
-        raise ValueError(
-            f"solution leaves the linear regime: beta = {check.beta:g}"
-        )
+    require_linear_regime(omega2, max(r1, r2), consts)
+    _require_maximal(entangling_phase_value(m, r1, r2, omega1, omega2, consts))
     return omega2
 
 
@@ -85,7 +93,9 @@ def solve_r2(
     radicand = r1 * r1 - (2 * k + 1) * consts.hbar / (2.0 * m * (omega1 - omega2))
     if radicand < 0:
         raise ValueError("no real radius for this k")
-    return math.sqrt(radicand)
+    r2 = math.sqrt(radicand)
+    _require_maximal(entangling_phase_value(m, r1, r2, omega1, omega2, consts))
+    return r2
 
 
 def _row(spec: SweepSpec, value: float) -> SweepRow:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .constants import ConstantSet, UnitSystem, constants_for
-from .state import MAXIMAL_TOL, EntanglementReport, report_from_parameters
+from .state import EntanglementReport, report_from_parameters
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,7 @@ def hydrogen_phase(n: int, consts: ConstantSet) -> HydrogenPhases:
     return HydrogenPhases(estimate=estimate, loop_phase=2.0 * estimate)
 
 
-def hydrogen_pair_report(
-    n1: int, n2: int, consts: ConstantSet, tol: float = MAXIMAL_TOL
-) -> EntanglementReport:
+def hydrogen_pair_report(n1: int, n2: int, consts: ConstantSet) -> EntanglementReport:
     """Entanglement report for an electron superposed across orbits n1, n2.
 
     Each physical orbit has rim speed alpha/n, deep inside the Ok band, so
@@ -73,5 +71,5 @@ def hydrogen_pair_report(
     orbit1 = bohr_orbit(n1, consts)
     orbit2 = bohr_orbit(n2, consts)
     return report_from_parameters(
-        consts.m_e, orbit1.r, orbit2.r, orbit1.omega, orbit2.omega, consts, tol
+        consts.m_e, orbit1.r, orbit2.r, orbit1.omega, orbit2.omega, consts
     )

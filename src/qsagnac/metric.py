@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ConstantSet, RegimeStatus, regime_check
+from .constants import ConstantSet, require_linear_regime
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,7 @@ def rotating_disk_metric(omega: float, r: float, consts: ConstantSet) -> DiskMet
 
     Rejects negative radii and rim speeds at or above c.
     """
-    check = regime_check(omega, r, consts)
-    if check.status is RegimeStatus.ERROR:
-        raise ValueError(
-            f"rim speed {check.beta:g}c is outside the linear regime"
-        )
+    require_linear_regime(omega, r, consts)
     g = flat_background(r)
     rim = omega * r / consts.c
     g[0, 0] = -1.0 + rim * rim

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import ConstantSet, RegimeCheck, RegimeStatus, regime_check
+from .constants import ConstantSet, RegimeCheck, require_linear_regime
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,7 @@ def sagnac_phase(m: float, omega: float, r: float, consts: ConstantSet) -> Phase
     """
     if m <= 0:
         raise ValueError("mass must be positive")
-    check = regime_check(omega, r, consts)
-    if check.status is RegimeStatus.ERROR:
-        raise ValueError(
-            f"rim speed {check.beta:g}c is outside the linear regime"
-        )
+    check = require_linear_regime(omega, r, consts)
     rim = omega * r / consts.c
     return PhaseResult(
         phi=loop_phase(m, omega, r, consts),
@@ -75,9 +71,5 @@ def two_radius_relative_phase(
         raise ValueError("mass must be positive")
     if r1 < 0 or r2 < 0:
         raise ValueError("radii must be non-negative")
-    check = regime_check(omega, max(r1, r2), consts)
-    if check.status is RegimeStatus.ERROR:
-        raise ValueError(
-            f"rim speed {check.beta:g}c is outside the linear regime"
-        )
+    require_linear_regime(omega, max(r1, r2), consts)
     return 2.0 * m * omega * math.pi * (r2 * r2 - r1 * r1) / consts.hbar

@@ -26,15 +26,14 @@ import numpy as np
 
 from .constants import (
     ConstantSet,
-    RegimeStatus,
     UnitSystem,
     constants_for,
-    regime_check,
+    require_linear_regime,
 )
 from .phase import loop_phase
 
 NORM_TOL = 1e-12
-MAXIMAL_TOL = 1e-9  # default tolerance on |concurrence - 1|
+MAXIMAL_TOL = 1e-9  # tolerance on |concurrence - 1|
 
 
 @dataclass(frozen=True)
@@ -53,15 +52,11 @@ class InterferometerConfig:
             raise ValueError("mass must be positive")
         if self.r1 < 0 or self.r2 < 0:
             raise ValueError("radii must be non-negative")
-        check = regime_check(
+        require_linear_regime(
             max(abs(self.omega1), abs(self.omega2)),
             max(self.r1, self.r2),
             self.constants,
         )
-        if check.status is RegimeStatus.ERROR:
-            raise ValueError(
-                f"rim speed {check.beta:g}c is outside the linear regime"
-            )
 
     @property
     def constants(self) -> ConstantSet:
@@ -103,40 +98,38 @@ def assemble_two_radius_state(
         raise ValueError("mass must be positive")
     if r1 < 0 or r2 < 0:
         raise ValueError("radii must be non-negative")
-    check = regime_check(omega, max(r1, r2), consts)
-    if check.status is RegimeStatus.ERROR:
-        raise ValueError(
-            f"rim speed {check.beta:g}c is outside the linear regime"
-        )
+    require_linear_regime(omega, max(r1, r2), consts)
     phases = np.array(
         [loop_phase(m, omega, r1, consts), loop_phase(m, omega, r2, consts)]
     )
     return np.exp(1j * phases) / math.sqrt(2.0)
 
 
-def _assemble(m, r1, r2, omega1, omega2, consts) -> PureState2x2:
+def assemble_full_state(cfg: InterferometerConfig) -> PureState2x2:
+    """Four-branch state after each (radius, frequency) branch loops once."""
+    if cfg.omega1 == 0 or cfg.omega2 == 0:
+        raise ValueError("each frequency branch must complete a loop: omega != 0")
+    consts = cfg.constants
     phases = np.array(
         [
-            [loop_phase(m, o, r, consts) for o in (omega1, omega2)]
-            for r in (r1, r2)
+            [loop_phase(cfg.m, o, r, consts) for o in (cfg.omega1, cfg.omega2)]
+            for r in (cfg.r1, cfg.r2)
         ]
     )
     return PureState2x2(amplitudes=0.5 * np.exp(1j * phases))
 
 
-def assemble_full_state(cfg: InterferometerConfig) -> PureState2x2:
-    """Four-branch state after each (radius, frequency) branch loops once."""
-    if cfg.omega1 == 0 or cfg.omega2 == 0:
-        raise ValueError("each frequency branch must complete a loop: omega != 0")
-    return _assemble(cfg.m, cfg.r1, cfg.r2, cfg.omega1, cfg.omega2, cfg.constants)
-
-
 def entangling_phase_value(
     m: float, r1: float, r2: float, omega1: float, omega2: float, consts: ConstantSet
 ) -> float:
-    """(2 m / hbar) (omega1 - omega2) (A1 - A2), without config validation."""
+    """(2 m / hbar) (omega1 - omega2) (A1 - A2), without config validation.
+
+    Both gaps are taken as differences of the inputs, with r1^2 - r2^2
+    factored as (r1 - r2)(r1 + r2), so nearly equal radii or frequencies do
+    not cancel.
+    """
     return (
-        2.0 * m * (omega1 - omega2) * math.pi * (r1 * r1 - r2 * r2) / consts.hbar
+        2.0 * m * (omega1 - omega2) * math.pi * ((r1 - r2) * (r1 + r2)) / consts.hbar
     )
 
 
@@ -185,13 +178,6 @@ def entropy_from_concurrence(c: float) -> float:
     return _entropy_bits(0.5 * (1.0 + gap), 0.5 * (1.0 - gap))
 
 
-def is_maximally_entangled(state: PureState2x2, tol: float = MAXIMAL_TOL) -> bool:
-    """True when the concurrence sits within tol of 1."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return abs(concurrence(state) - 1.0) <= tol
-
-
 def report_from_parameters(
     m: float,
     r1: float,
@@ -199,31 +185,34 @@ def report_from_parameters(
     omega1: float,
     omega2: float,
     consts: ConstantSet,
-    tol: float = MAXIMAL_TOL,
 ) -> EntanglementReport:
-    """Assemble the four-branch state and quantify its entanglement.
+    """Entanglement of the four-branch state, in closed form from delta.
+
+    The state is a pure two-qubit state fixed, up to local phases, by delta:
+    concurrence |sin(delta/2)|, Schmidt coefficients |cos(delta/4)| and
+    |sin(delta/4)| (Wootters, PRL 80, 2245, 1998). No branch phase is
+    evaluated, so branch phases far beyond 2 pi lose no accuracy.
 
     Skips the configuration-level regime gate; callers that need it should
     construct an InterferometerConfig and use entanglement_report.
     """
-    state = _assemble(m, r1, r2, omega1, omega2, consts)
-    s1, s2 = schmidt_decompose(state)
-    c = concurrence(state)
+    delta = entangling_phase_value(m, r1, r2, omega1, omega2, consts)
+    c = concurrence_from_delta(delta)
+    quarter = 0.25 * delta
+    s1, s2 = sorted((abs(math.cos(quarter)), abs(math.sin(quarter))), reverse=True)
     return EntanglementReport(
-        delta=entangling_phase_value(m, r1, r2, omega1, omega2, consts),
+        delta=delta,
         concurrence=c,
         schmidt=(s1, s2),
-        entropy_bits=_entropy_bits(s1 * s1, s2 * s2),
-        maximal=abs(c - 1.0) <= tol,
+        entropy_bits=entropy_from_concurrence(c),
+        maximal=abs(c - 1.0) <= MAXIMAL_TOL,
     )
 
 
-def entanglement_report(
-    cfg: InterferometerConfig, tol: float = MAXIMAL_TOL
-) -> EntanglementReport:
+def entanglement_report(cfg: InterferometerConfig) -> EntanglementReport:
     """Full entanglement report for a validated configuration."""
     if cfg.omega1 == 0 or cfg.omega2 == 0:
         raise ValueError("each frequency branch must complete a loop: omega != 0")
     return report_from_parameters(
-        cfg.m, cfg.r1, cfg.r2, cfg.omega1, cfg.omega2, cfg.constants, tol
+        cfg.m, cfg.r1, cfg.r2, cfg.omega1, cfg.omega2, cfg.constants
     )

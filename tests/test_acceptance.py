@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from helpers import random_config, svd_concurrence
 
 from qsagnac import (
     InterferometerConfig,
@@ -35,22 +36,6 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 def report_pass(number, label, t0):
     print(f"criterion {number} ({label}): PASS in {time.perf_counter() - t0:.3f}s")
-
-
-def random_config(rng):
-    return InterferometerConfig(
-        m=rng.uniform(0.5, 50.0),
-        r1=rng.uniform(0.05, 1.5),
-        r2=rng.uniform(0.05, 1.5),
-        omega1=rng.choice([-1.0, 1.0]) * rng.uniform(1e-4, 0.05),
-        omega2=rng.choice([-1.0, 1.0]) * rng.uniform(1e-4, 0.05),
-        units=UnitSystem.NATURAL,
-    )
-
-
-def svd_concurrence(state):
-    s = np.linalg.svd(state.amplitudes, compute_uv=False)
-    return 2.0 * float(s[0]) * float(s[1])
 
 
 def test_criterion_1_phase_chain_identity():

@@ -2,6 +2,8 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
+
 from qsagnac.cli import format_float, main, to_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -41,6 +43,30 @@ def test_entangle_worked_invocation(capsys):
     assert abs(payload["concurrence"] - 1.0) <= 1e-9
     assert abs(payload["entropy_bits"] - 1.0) <= 1e-9
     assert payload["maximal"] is True
+
+
+def test_entangle_worked_invocation_against_mpmath(capsys):
+    code, out, _ = run(capsys, *GOLDEN_INVOCATIONS["entangle.json"])
+    assert code == 0
+    payload = json.loads(out)
+    with mpmath.workdps(50):
+        m, r1, r2, omega1, omega2 = (
+            mpmath.mpf(payload[key]) for key in ("m", "r1", "r2", "omega1", "omega2")
+        )
+        # exact figures for the double inputs as printed; hbar = 1
+        delta = 2 * m * (omega1 - omega2) * mpmath.pi * (r1 * r1 - r2 * r2)
+        s1, s2 = abs(mpmath.cos(delta / 4)), abs(mpmath.sin(delta / 4))
+        lam1, lam2 = s1 * s1, s2 * s2
+        exact = [
+            ("delta", payload["delta"], delta),
+            ("concurrence", payload["concurrence"], abs(mpmath.sin(delta / 2))),
+            ("schmidt[0]", payload["schmidt"][0], s1),
+            ("schmidt[1]", payload["schmidt"][1], s2),
+            ("entropy_bits", payload["entropy_bits"],
+             -lam1 * mpmath.log(lam1, 2) - lam2 * mpmath.log(lam2, 2)),
+        ]
+        for name, got, want in exact:
+            assert abs(mpmath.mpf(got) - want) <= 1e-16, name
 
 
 def test_solve_worked_invocation(capsys):
@@ -229,6 +255,11 @@ def test_domain_errors_exit_1_with_clean_stdout(capsys):
          "--omega1", "0.001", "--omega2", "0.002"],
         ["state", "--units", "natural", "--m", "1", "--r1", "1", "--r2", "2",
          "--omega1", "0", "--omega2", "0.002"],
+        # integers too large for a double overflow instead of raising ValueError
+        ["hydrogen", "--n", "1" + "0" * 400],
+        ["hydrogen", "--pair", "1,1" + "0" * 400],
+        ["solve", "--target", "omega2", "--units", "natural", "--m", "1000",
+         "--r1", "1", "--r2", "2", "--omega1", "0.01", "--k", "1" + "0" * 400],
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)

@@ -10,6 +10,7 @@ from qsagnac import (
     UnitSystem,
     assemble_full_state,
     concurrence,
+    concurrence_from_delta,
     constants_for,
     entangling_phase_value,
     solve_omega2,
@@ -18,6 +19,7 @@ from qsagnac import (
 )
 
 NATURAL = constants_for(UnitSystem.NATURAL)
+SI = constants_for(UnitSystem.SI)
 
 BASE = InterferometerConfig(
     m=1000.0, r1=1.0, r2=math.sqrt(2.0), omega1=0.01, omega2=0.0105,
@@ -41,6 +43,11 @@ def test_solve_omega2_solution_is_maximally_entangling():
         units=UnitSystem.NATURAL,
     )
     assert abs(concurrence(assemble_full_state(cfg)) - 1.0) <= 1e-9
+    # SI probe whose detuning, 2.5e-9 rad/s on omega1 = 1e3, is still
+    # resolved by a double
+    omega2 = solve_omega2(1e-21, 0.01, 0.011, 1e3, 0, SI)
+    delta = entangling_phase_value(1e-21, 0.01, 0.011, 1e3, omega2, SI)
+    assert 1.0 - concurrence_from_delta(delta) <= 1e-9
 
 
 def test_solve_omega2_errors():
@@ -49,6 +56,11 @@ def test_solve_omega2_errors():
     # tiny mass pushes the detuning far past the superluminal rim
     with pytest.raises(ValueError, match="beta"):
         solve_omega2(1.0, 1.0, 1.1, 0.001, 0, NATURAL)
+    # SI probes past double resolution: m = 1e-14 kg rounds omega2 back to
+    # omega1 (delta = 0), m = 1e-17 kg lands at concurrence 0.989
+    for m in (1e-14, 1e-17):
+        with pytest.raises(ValueError, match="double precision"):
+            solve_omega2(m, 0.01, 0.011, 1e3, 0, SI)
 
 
 def test_solve_r2_worked_example():

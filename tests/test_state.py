@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import random_config, svd_concurrence
 
 from qsagnac import (
     InterferometerConfig,
@@ -16,7 +17,6 @@ from qsagnac import (
     entanglement_report,
     entangling_phase,
     entropy_from_concurrence,
-    is_maximally_entangled,
     schmidt_decompose,
     two_radius_relative_phase,
 )
@@ -34,23 +34,6 @@ PRODUCT = InterferometerConfig(
     m=1000.0, r1=1.0, r2=2.0, omega1=0.001, omega2=0.002,
     units=UnitSystem.NATURAL,
 )
-
-
-def random_config(rng):
-    return InterferometerConfig(
-        m=rng.uniform(0.5, 50.0),
-        r1=rng.uniform(0.05, 1.5),
-        r2=rng.uniform(0.05, 1.5),
-        omega1=rng.choice([-1.0, 1.0]) * rng.uniform(1e-4, 0.05),
-        omega2=rng.choice([-1.0, 1.0]) * rng.uniform(1e-4, 0.05),
-        units=UnitSystem.NATURAL,
-    )
-
-
-def svd_concurrence(state):
-    """Independent oracle: concurrence as twice the singular-value product."""
-    s = np.linalg.svd(state.amplitudes, compute_uv=False)
-    return 2.0 * float(s[0]) * float(s[1])
 
 
 def state_with_delta(delta):
@@ -163,13 +146,17 @@ def test_entropy_examples():
     assert math.isclose(entanglement_entropy(state), 0.23332662865093506, abs_tol=1e-9)
 
 
-def test_is_maximally_entangled():
-    maximal = PureState2x2(0.5 * np.array([[1, 1], [1, -1]], dtype=complex))
-    product = PureState2x2(0.5 * np.ones((2, 2)))
-    assert is_maximally_entangled(maximal, tol=1e-9)
-    assert not is_maximally_entangled(product, tol=1e-9)
+def test_report_maximal_flag():
+    assert entanglement_report(WORKED).maximal
+    assert not entanglement_report(PRODUCT).maximal
+    # omega1 - omega2 = -0.0004995 puts delta at 0.999 pi:
     # 1 - |sin(0.4995 pi)| = 1.23e-6, well above the tolerance
-    assert not is_maximally_entangled(state_with_delta(0.999 * math.pi), tol=1e-9)
+    near = InterferometerConfig(
+        m=1000.0, r1=1.0, r2=math.sqrt(2.0), omega1=0.01, omega2=0.0104995,
+        units=UnitSystem.NATURAL,
+    )
+    assert math.isclose(entangling_phase(near), 0.999 * math.pi, rel_tol=1e-9)
+    assert not entanglement_report(near).maximal
 
 
 def test_unnormalized_states_are_rejected():
@@ -269,11 +256,14 @@ def test_entropy_is_strictly_increasing_in_concurrence():
 
 
 def test_report_is_consistent_with_individual_measures():
+    # The report is closed-form in delta; the state measures go through the
+    # assembled amplitudes and an SVD, so they agree to rounding, not bits.
     report = entanglement_report(WORKED)
     state = assemble_full_state(WORKED)
     assert report.delta == entangling_phase(WORKED)
-    assert report.concurrence == concurrence(state)
-    assert report.schmidt == schmidt_decompose(state)
-    assert report.entropy_bits == entanglement_entropy(state)
+    assert abs(report.concurrence - concurrence(state)) <= 1e-12
+    for a, b in zip(report.schmidt, schmidt_decompose(state)):
+        assert abs(a - b) <= 1e-12
+    assert abs(report.entropy_bits - entanglement_entropy(state)) <= 1e-12
     assert report.maximal
     assert abs(report.concurrence - 2.0 * report.schmidt[0] * report.schmidt[1]) <= 1e-10

@@ -20,6 +20,34 @@ GOLDEN_INVOCATIONS = {
     "phase.json": [
         "phase", "--units", "natural", "--m", "1", "--omega", "0", "--r", "5",
     ],
+    # one golden per subcommand, so a change of serializer shows in any payload
+    "constants.json": ["constants"],
+    "metric.json": ["metric", "--omega", "0.1", "--r", "1", "--units", "natural"],
+    "phase_r2.json": [
+        "phase", "--m", "1e-20", "--omega", "1e3", "--r", "0.01", "--r2", "0.011",
+    ],
+    "state.json": [
+        "state", "--units", "natural", "--m", "1000", "--r1", "1", "--r2", "2",
+        "--omega1", "0.001", "--omega2", "0.002",
+    ],
+    "solve_r2.json": [
+        "solve", "--target", "r2", "--units", "natural", "--m", "1000",
+        "--r1", "1.41421356237", "--omega1", "0.0105", "--omega2", "0.01",
+        "--k", "0",
+    ],
+    "sweep.csv": [
+        "sweep", "--vary", "omega2", "--start", "0.009", "--stop", "0.012",
+        "--count", "25", "--format", "csv", "--units", "natural", "--m", "1000",
+        "--r1", "1", "--r2", "1.41421356237", "--omega1", "0.01",
+        "--omega2", "0.0105",
+    ],
+    "sweep_mass.json": [  # rows at m <= 0 are kept and flagged error
+        "sweep", "--vary", "mass", "--start", "-500", "--stop", "1500",
+        "--count", "5", "--units", "natural", "--m", "1000", "--r1", "1",
+        "--r2", "1.41421356237", "--omega1", "0.01", "--omega2", "0.0105",
+    ],
+    "hydrogen_n.json": ["hydrogen", "--n", "3"],
+    "hydrogen_pair.json": ["hydrogen", "--pair", "1,2"],
 }
 
 

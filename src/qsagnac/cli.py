@@ -8,22 +8,27 @@ digits so values survive a parse round-trip bit-exactly. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import math
 import sys
+from enum import Enum
 
-from .constants import RegimeCheck, UnitSystem, constants_for, regime_check
+from .constants import UnitSystem, constants_for, regime_check
 from .design import SweepSpec, solve_omega2, solve_r2, sweep
 from .hydrogen import bohr_orbit, hydrogen_pair_report, hydrogen_phase
 from .metric import perturbation, rotating_disk_metric
 from .phase import sagnac_phase, two_radius_relative_phase
 from .state import (
-    EntanglementReport,
     InterferometerConfig,
     assemble_full_state,
     concurrence_from_delta,
     entangling_phase_value,
     entanglement_report,
 )
+
+# The numeric fields of InterferometerConfig, which are also the config flags.
+_CONFIG_NAMES = ("m", "r1", "r2", "omega1", "omega2")
 
 
 def format_float(x: float) -> str:
@@ -34,8 +39,33 @@ def format_float(x: float) -> str:
     return s
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    """Field names of a dataclass in declaration order; () for other classes."""
+    if not dataclasses.is_dataclass(cls):
+        return ()
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def _fields(obj) -> dict:
+    """A dataclass instance's fields by name, in declaration order."""
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+
+
 def to_json(value, indent: int = 0) -> str:
-    """Serializer with fixed float formatting (stdlib json hardcodes repr)."""
+    """Serializer with fixed float formatting (stdlib json hardcodes repr).
+
+    A dataclass prints as its fields, an Enum as its value, an array
+    through .tolist(), and a complex number as {"re", "im"}.
+    """
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, str):
+        return '"' + value + '"'
+    if isinstance(value, Enum):
+        return to_json(value.value, indent)
+    if _field_names(type(value)):
+        value = _fields(value)
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
@@ -54,12 +84,12 @@ def to_json(value, indent: int = 0) -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, float):
-        return format_float(value)
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, str):
-        return '"' + value + '"'
+    if isinstance(value, complex):
+        return to_json({"re": value.real, "im": value.imag}, indent)
+    if hasattr(value, "tolist"):  # numpy arrays, without importing numpy here
+        return to_json(value.tolist(), indent)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -77,80 +107,37 @@ def _pair(text: str) -> tuple[int, int]:
     return (int(parts[0]), int(parts[1]))
 
 
-def _units(args) -> UnitSystem:
-    return UnitSystem(args.units)
-
-
-def _regime_payload(check: RegimeCheck) -> dict:
-    return {"beta": check.beta, "status": check.status.value}
-
-
-def _report_payload(report: EntanglementReport) -> dict:
-    return {
-        "delta": report.delta,
-        "concurrence": report.concurrence,
-        "schmidt": list(report.schmidt),
-        "entropy_bits": report.entropy_bits,
-        "maximal": report.maximal,
-    }
-
-
-def _matrix(array) -> list:
-    return [[float(x) for x in row] for row in array]
-
-
-def _complex_pairs(array) -> list:
-    return [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in array]
-
-
 def cmd_constants(args) -> str:
-    units = _units(args)
-    consts = constants_for(units)
-    return to_json(
-        {
-            "units": units.value,
-            "hbar": consts.hbar,
-            "c": consts.c,
-            "m_e": consts.m_e,
-            "a0": consts.a0,
-            "alpha": consts.alpha,
-        }
-    )
+    units = UnitSystem(args.units)
+    return to_json({"units": units, **_fields(constants_for(units))})
 
 
 def cmd_metric(args) -> str:
-    units = _units(args)
+    units = UnitSystem(args.units)
     consts = constants_for(units)
     metric = rotating_disk_metric(args.omega, args.r, consts)
-    pert = perturbation(metric)
     return to_json(
         {
             "omega": args.omega,
             "r": args.r,
-            "units": units.value,
-            "g": _matrix(metric.g),
-            "h00": pert.h00,
-            "h0phi": pert.h0phi,
-            "full": _matrix(pert.full),
-            "regime": _regime_payload(regime_check(args.omega, args.r, consts)),
+            "units": units,
+            "g": metric.g,
+            **_fields(perturbation(metric)),
+            "regime": regime_check(args.omega, args.r, consts),
         }
     )
 
 
 def cmd_phase(args) -> str:
-    units = _units(args)
+    units = UnitSystem(args.units)
     consts = constants_for(units)
     result = sagnac_phase(args.m, args.omega, args.r, consts)
     payload = {
         "m": args.m,
         "omega": args.omega,
         "r": args.r,
-        "units": units.value,
-        "phi": result.phi,
-        "t_loop": result.t_loop,
-        "area": result.area,
-        "h00": result.h00,
-        "regime": _regime_payload(result.regime),
+        "units": units,
+        **_fields(result),
     }
     if args.r2 is not None:
         payload["r2"] = args.r2
@@ -162,84 +149,48 @@ def cmd_phase(args) -> str:
 
 def _config(args) -> InterferometerConfig:
     return InterferometerConfig(
-        m=args.m,
-        r1=args.r1,
-        r2=args.r2,
-        omega1=args.omega1,
-        omega2=args.omega2,
-        units=_units(args),
+        **{name: getattr(args, name) for name in _CONFIG_NAMES},
+        units=UnitSystem(args.units),
     )
-
-
-def _config_payload(cfg: InterferometerConfig) -> dict:
-    return {
-        "m": cfg.m,
-        "r1": cfg.r1,
-        "r2": cfg.r2,
-        "omega1": cfg.omega1,
-        "omega2": cfg.omega2,
-        "units": cfg.units.value,
-    }
 
 
 def cmd_state(args) -> str:
     cfg = _config(args)
     state = assemble_full_state(cfg)
-    payload = _config_payload(cfg)
-    payload.update(
+    return to_json(
         {
-            "amplitudes": _complex_pairs(state.amplitudes),
-            "row_basis": list(state.row_labels),
-            "col_basis": list(state.col_labels),
+            **_fields(cfg),
+            "amplitudes": state.amplitudes,
+            "row_basis": state.row_labels,
+            "col_basis": state.col_labels,
         }
     )
-    return to_json(payload)
 
 
 def cmd_entangle(args) -> str:
     cfg = _config(args)
-    payload = _config_payload(cfg)
-    payload.update(_report_payload(entanglement_report(cfg)))
-    return to_json(payload)
+    return to_json({**_fields(cfg), **_fields(entanglement_report(cfg))})
 
 
 def cmd_solve(args) -> str:
-    units = _units(args)
+    units = UnitSystem(args.units)
     consts = constants_for(units)
-    if args.target == "omega2":
-        value = solve_omega2(args.m, args.r1, args.r2, args.omega1, args.k, consts)
-        delta = entangling_phase_value(
-            args.m, args.r1, args.r2, args.omega1, value, consts
-        )
-        payload = {
-            "target": "omega2",
-            "m": args.m,
-            "r1": args.r1,
-            "r2": args.r2,
-            "omega1": args.omega1,
-        }
-    else:
-        value = solve_r2(args.m, args.r1, args.omega1, args.omega2, args.k, consts)
-        delta = entangling_phase_value(
-            args.m, args.r1, value, args.omega1, args.omega2, consts
-        )
-        payload = {
-            "target": "r2",
-            "m": args.m,
-            "r1": args.r1,
-            "omega1": args.omega1,
-            "omega2": args.omega2,
-        }
-    payload.update(
+    # every config value but the target, in the solvers' argument order
+    given = {name: getattr(args, name) for name in _CONFIG_NAMES if name != args.target}
+    solver = solve_omega2 if args.target == "omega2" else solve_r2
+    value = solver(*given.values(), args.k, consts)
+    delta = entangling_phase_value(**given, **{args.target: value}, consts=consts)
+    return to_json(
         {
+            "target": args.target,
+            **given,
             "k": args.k,
-            "units": units.value,
+            "units": units,
             "value": value,
             "delta": delta,
             "concurrence": concurrence_from_delta(delta),
         }
     )
-    return to_json(payload)
 
 
 def cmd_sweep(args) -> str:
@@ -266,39 +217,23 @@ def cmd_sweep(args) -> str:
                 )
             )
         return "\n".join(lines)
-    return to_json(
-        [
-            {
-                "value": row.value,
-                "delta": row.delta,
-                "concurrence": row.concurrence,
-                "entropy_bits": row.entropy_bits,
-                "regime": row.regime.value,
-            }
-            for row in rows
-        ]
-    )
+    return to_json(rows)
 
 
 def cmd_hydrogen(args) -> str:
     consts = constants_for(UnitSystem.SI)  # atomic scales are SI-only
     if args.n is not None:
         orbit = bohr_orbit(args.n, consts)
-        phases = hydrogen_phase(args.n, consts)
         return to_json(
             {
-                "n": orbit.n,
-                "r": orbit.r,
-                "omega": orbit.omega,
-                "area": orbit.area,
+                **_fields(orbit),
                 "beta": regime_check(orbit.omega, orbit.r, consts).beta,
-                "estimate": phases.estimate,
-                "loop_phase": phases.loop_phase,
+                **hydrogen_phase(args.n, consts)._asdict(),
             }
         )
     n1, n2 = args.pair
     report = hydrogen_pair_report(n1, n2, consts)
-    return to_json({"n1": n1, "n2": n2, **_report_payload(report)})
+    return to_json({"n1": n1, "n2": n2, **_fields(report)})
 
 
 def _add_units(parser) -> None:
@@ -306,11 +241,8 @@ def _add_units(parser) -> None:
 
 
 def _add_config_flags(parser) -> None:
-    parser.add_argument("--m", type=_finite, required=True)
-    parser.add_argument("--r1", type=_finite, required=True)
-    parser.add_argument("--r2", type=_finite, required=True)
-    parser.add_argument("--omega1", type=_finite, required=True)
-    parser.add_argument("--omega2", type=_finite, required=True)
+    for name in _CONFIG_NAMES:
+        parser.add_argument(f"--{name}", type=_finite, required=True)
     _add_units(parser)
 
 

@@ -35,6 +35,8 @@ def format_float(x: float) -> str:
     """17-significant-digit decimal; parses back to the identical double."""
     s = f"{x:.17g}"
     if "." not in s and "e" not in s and "E" not in s:
+        if not math.isfinite(x):
+            raise ValueError(f"result is not a finite number: {s}")
         s += ".0"
     return s
 

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ConstantSet, RegimeStatus, regime_check, require_linear_regime
+from .constants import ConstantSet, RegimeStatus, regime_check
 from .state import (
     MAXIMAL_TOL,
     InterferometerConfig,
     concurrence_from_delta,
     entangling_phase_value,
     entropy_from_concurrence,
+    require_valid_config,
 )
 
 VARY_CHOICES = ("omega2", "r2", "mass")
@@ -55,10 +56,18 @@ def _require_maximal(delta: float) -> None:
     # A solution past double resolution (omega1 - omega2 or r1^2 - r2^2 lost
     # to rounding) misses (2k+1) pi; refuse it rather than return it.
     c = concurrence_from_delta(delta)
-    if 1.0 - c > MAXIMAL_TOL:
+    if not 1.0 - c <= MAXIMAL_TOL:  # also refuses a nan delta
         raise ValueError(
             f"solution not resolvable in double precision: concurrence {c:.9g}"
         )
+
+
+def _odd(k: int) -> float:
+    """2k + 1 as a double, for the odd multiple of pi that k picks."""
+    try:
+        return float(2 * k + 1)
+    except OverflowError:
+        raise ValueError("k is too large for a double") from None
 
 
 def solve_omega2(
@@ -73,8 +82,8 @@ def solve_omega2(
     if r1 == r2:
         raise ValueError("no solution: degenerate radii")
     area_gap = math.pi * ((r1 - r2) * (r1 + r2))  # A1 - A2
-    omega2 = omega1 - (2 * k + 1) * math.pi * consts.hbar / (2.0 * m * area_gap)
-    require_linear_regime(omega2, max(r1, r2), consts)
+    omega2 = omega1 - _odd(k) * math.pi * consts.hbar / (2.0 * m * area_gap)
+    require_valid_config(m, r1, r2, omega1, omega2, consts)
     _require_maximal(entangling_phase_value(m, r1, r2, omega1, omega2, consts))
     return omega2
 
@@ -90,10 +99,11 @@ def solve_r2(
         raise ValueError("mass must be positive")
     if omega1 == omega2:
         raise ValueError("no solution: degenerate frequencies")
-    radicand = r1 * r1 - (2 * k + 1) * consts.hbar / (2.0 * m * (omega1 - omega2))
+    radicand = r1 * r1 - _odd(k) * consts.hbar / (2.0 * m * (omega1 - omega2))
     if radicand < 0:
         raise ValueError("no real radius for this k")
     r2 = math.sqrt(radicand)
+    require_valid_config(m, r1, r2, omega1, omega2, consts)
     _require_maximal(entangling_phase_value(m, r1, r2, omega1, omega2, consts))
     return r2
 

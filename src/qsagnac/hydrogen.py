@@ -41,13 +41,12 @@ def bohr_orbit(n: int, consts: ConstantSet) -> BohrOrbit:
     _require_si(consts)
     if n < 1:
         raise ValueError("principal quantum number must be at least 1")
-    r = (n * n) * consts.a0
-    return BohrOrbit(
-        n=n,
-        r=r,
-        omega=consts.alpha * consts.c / ((n**3) * consts.a0),
-        area=math.pi * r * r,
-    )
+    try:
+        r = (n * n) * consts.a0
+        omega = consts.alpha * consts.c / ((n**3) * consts.a0)
+    except OverflowError:
+        raise ValueError("quantum number is too large for a double") from None
+    return BohrOrbit(n=n, r=r, omega=omega, area=math.pi * r * r)
 
 
 def hydrogen_phase(n: int, consts: ConstantSet) -> HydrogenPhases:

@@ -36,6 +36,26 @@ NORM_TOL = 1e-12
 MAXIMAL_TOL = 1e-9  # tolerance on |concurrence - 1|
 
 
+def _require_resolved_phase(x: float) -> None:
+    # A double phase whose ulp exceeds MAXIMAL_TOL no longer fixes its value
+    # mod 2 pi, so nothing derived from it can be trusted; |x| >= 2^23 rad.
+    # Also refuses inf and nan, for which ulp is inf and nan.
+    if not math.ulp(x) <= MAXIMAL_TOL:
+        raise ValueError(f"phase {x:.6g} rad is past double resolution")
+
+
+def require_valid_config(
+    m: float, r1: float, r2: float, omega1: float, omega2: float, consts: ConstantSet
+) -> None:
+    """Raise ValueError unless the parameters form a valid configuration:
+    positive mass, non-negative radii, every branch rim below light speed."""
+    if not m > 0:
+        raise ValueError("mass must be positive")
+    if not (r1 >= 0 and r2 >= 0):
+        raise ValueError("radii must be non-negative")
+    require_linear_regime(max(abs(omega1), abs(omega2)), max(r1, r2), consts)
+
+
 @dataclass(frozen=True)
 class InterferometerConfig:
     """Full experiment description: mass, two radii, two spin frequencies."""
@@ -48,14 +68,8 @@ class InterferometerConfig:
     units: UnitSystem = UnitSystem.SI
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError("mass must be positive")
-        if self.r1 < 0 or self.r2 < 0:
-            raise ValueError("radii must be non-negative")
-        require_linear_regime(
-            max(abs(self.omega1), abs(self.omega2)),
-            max(self.r1, self.r2),
-            self.constants,
+        require_valid_config(
+            self.m, self.r1, self.r2, self.omega1, self.omega2, self.constants
         )
 
     @property
@@ -116,6 +130,7 @@ def assemble_full_state(cfg: InterferometerConfig) -> PureState2x2:
             for r in (cfg.r1, cfg.r2)
         ]
     )
+    _require_resolved_phase(float(np.abs(phases).max()))
     return PureState2x2(amplitudes=0.5 * np.exp(1j * phases))
 
 
@@ -197,6 +212,7 @@ def report_from_parameters(
     construct an InterferometerConfig and use entanglement_report.
     """
     delta = entangling_phase_value(m, r1, r2, omega1, omega2, consts)
+    _require_resolved_phase(delta)
     c = concurrence_from_delta(delta)
     quarter = 0.25 * delta
     s1, s2 = sorted((abs(math.cos(quarter)), abs(math.sin(quarter))), reverse=True)

@@ -3,6 +3,7 @@ import math
 from pathlib import Path
 
 import mpmath
+import pytest
 
 from qsagnac.cli import format_float, main, to_json
 
@@ -61,6 +62,9 @@ def test_format_float_round_trips():
     for x in [0.1, 1.0, -0.0105, math.pi, 4.134137333521859e16, 1e-300]:
         assert float(format_float(x)) == x
     assert format_float(1.0) == "1.0"
+    for x in [math.inf, -math.inf, math.nan]:
+        with pytest.raises(ValueError):
+            format_float(x)
 
 
 def test_entangle_worked_invocation(capsys):
@@ -269,6 +273,7 @@ def test_argument_errors_exit_2(capsys):
         assert err != ""
 
 
+@pytest.mark.filterwarnings("error")  # a leaked numpy RuntimeWarning fails
 def test_domain_errors_exit_1_with_clean_stdout(capsys):
     cases = [
         ["phase", "--units", "natural", "--m", "1", "--omega", "2", "--r", "1"],
@@ -283,11 +288,27 @@ def test_domain_errors_exit_1_with_clean_stdout(capsys):
          "--omega1", "0.001", "--omega2", "0.002"],
         ["state", "--units", "natural", "--m", "1", "--r1", "1", "--r2", "2",
          "--omega1", "0", "--omega2", "0.002"],
-        # integers too large for a double overflow instead of raising ValueError
+        # integers too large for a double
         ["hydrogen", "--n", "1" + "0" * 400],
         ["hydrogen", "--pair", "1,1" + "0" * 400],
         ["solve", "--target", "omega2", "--units", "natural", "--m", "1000",
          "--r1", "1", "--r2", "2", "--omega1", "0.01", "--k", "1" + "0" * 400],
+        # phases past double resolution: delta = -1.25e16 rad, phi_jk = 7.2e19
+        # rad, then branch phases that overflow to inf
+        ["entangle", "--m", "1e-14", "--r1", "0.01", "--r2", "0.011",
+         "--omega1", "1e3", "--omega2", "999"],
+        ["state", "--m", "1e-14", "--r1", "0.01", "--r2", "0.011",
+         "--omega1", "1e3", "--omega2", "999"],
+        ["state", "--units", "natural", "--m", "1e308", "--r1", "1", "--r2", "2",
+         "--omega1", "0.01", "--omega2", "0.02"],
+        # a non-finite result: phi overflows to inf
+        ["phase", "--units", "natural", "--m", "1e308", "--omega", "0.1", "--r", "5"],
+        # solver answers outside the domain: a negative given radius, and an
+        # r2 that puts the omega1 rim at beta = 2.83
+        ["solve", "--target", "omega2", "--units", "natural", "--m", "1000",
+         "--r1", "-1", "--r2", "2", "--omega1", "0.01", "--k", "0"],
+        ["solve", "--target", "r2", "--units", "natural", "--m", "1000",
+         "--r1", "1", "--omega1", "2.0", "--omega2", "2.0005", "--k", "0"],
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)

@@ -61,6 +61,10 @@ def test_solve_omega2_errors():
     for m in (1e-14, 1e-17):
         with pytest.raises(ValueError, match="double precision"):
             solve_omega2(m, 0.01, 0.011, 1e3, 0, SI)
+    with pytest.raises(ValueError, match="radii"):
+        solve_omega2(1000.0, -1.0, 2.0, 0.01, 0, NATURAL)
+    with pytest.raises(ValueError):  # not OverflowError
+        solve_omega2(1000.0, 1.0, 2.0, 0.01, 10**400, NATURAL)
 
 
 def test_solve_r2_worked_example():
@@ -75,6 +79,11 @@ def test_solve_r2_errors():
         solve_r2(1000.0, 1.0, 0.01, 0.01, 0, NATURAL)  # degenerate frequencies
     with pytest.raises(ValueError):
         solve_r2(1.0, 1.0, 0.0105, 0.01, 0, NATURAL)  # negative radicand
+    # r2 = 1.414 resolves delta, but omega1 = 2 on r2 is a rim at beta = 2.83
+    with pytest.raises(ValueError, match="beta"):
+        solve_r2(1000.0, 1.0, 2.0, 2.0005, 0, NATURAL)
+    with pytest.raises(ValueError):  # not OverflowError
+        solve_r2(1000.0, 1.0, 0.01, 0.02, 10**400, NATURAL)
 
 
 def test_solution_hits_odd_multiples_of_pi():

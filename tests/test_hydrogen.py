@@ -111,3 +111,8 @@ def test_invalid_inputs():
         hydrogen_pair_report(2, 2, SI)
     with pytest.raises(ValueError):
         bohr_orbit(1, constants_for(UnitSystem.NATURAL))
+    # integers too large for a double: ValueError, not OverflowError
+    with pytest.raises(ValueError):
+        bohr_orbit(10**400, SI)
+    with pytest.raises(ValueError):
+        hydrogen_pair_report(1, 10**400, SI)

@@ -17,6 +17,7 @@ from qsagnac import (
     entanglement_report,
     entangling_phase,
     entropy_from_concurrence,
+    report_from_parameters,
     schmidt_decompose,
     two_radius_relative_phase,
 )
@@ -76,6 +77,26 @@ def test_full_state_requires_nonzero_frequencies():
     )
     with pytest.raises(ValueError):
         assemble_full_state(cfg)
+
+
+def test_phases_past_double_resolution_are_refused():
+    # SI: delta = -1.25e16 rad and branch phases near 7.2e19 rad, where a
+    # double no longer fixes a phase mod 2 pi
+    si = InterferometerConfig(m=1e-14, r1=0.01, r2=0.011, omega1=1e3, omega2=999.0)
+    with pytest.raises(ValueError, match="double resolution"):
+        entanglement_report(si)
+    with pytest.raises(ValueError, match="double resolution"):
+        assemble_full_state(si)
+    # branch phases that overflow to inf are refused before np.exp
+    huge = InterferometerConfig(
+        m=1e308, r1=1.0, r2=2.0, omega1=0.01, omega2=0.02, units=UnitSystem.NATURAL
+    )
+    with pytest.raises(ValueError, match="double resolution"):
+        assemble_full_state(huge)
+    # the bound is |phase| < 2^23 rad; here delta = m pi
+    assert report_from_parameters(2.6e6, 1.0, 0.0, 0.5, 0.0, NATURAL).delta < 2.0**23
+    with pytest.raises(ValueError, match="double resolution"):
+        report_from_parameters(2.7e6, 1.0, 0.0, 0.5, 0.0, NATURAL)
 
 
 def test_entangling_phase_degenerate_cases():

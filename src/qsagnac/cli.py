@@ -1,7 +1,8 @@
 """Command-line frontend: every pipeline stage as a subcommand.
 
 Output is JSON (CSV for sweeps) with floats printed to 17 significant
-digits so values survive a parse round-trip bit-exactly. Exit codes:
+digits so values survive a parse round-trip bit-exactly. Each payload is
+built from the result dataclasses, whose fields give its keys. Exit codes:
 0 success, 1 domain error (diagnostic on stderr), 2 argument error.
 """
 

@@ -120,7 +120,10 @@ def assemble_two_radius_state(
 
 
 def assemble_full_state(cfg: InterferometerConfig) -> PureState2x2:
-    """Four-branch state after each (radius, frequency) branch loops once."""
+    """Four-branch state after each (radius, frequency) branch loops once.
+
+    Raises ValueError when a branch phase is past double resolution.
+    """
     if cfg.omega1 == 0 or cfg.omega2 == 0:
         raise ValueError("each frequency branch must complete a loop: omega != 0")
     consts = cfg.constants
@@ -206,7 +209,8 @@ def report_from_parameters(
     The state is a pure two-qubit state fixed, up to local phases, by delta:
     concurrence |sin(delta/2)|, Schmidt coefficients |cos(delta/4)| and
     |sin(delta/4)| (Wootters, PRL 80, 2245, 1998). No branch phase is
-    evaluated, so branch phases far beyond 2 pi lose no accuracy.
+    evaluated, so branch phases far beyond 2 pi lose no accuracy; delta
+    itself past double resolution raises ValueError.
 
     Skips the configuration-level regime gate; callers that need it should
     construct an InterferometerConfig and use entanglement_report.

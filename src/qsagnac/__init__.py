@@ -42,16 +42,12 @@ from .state import (
     InterferometerConfig,
     PureState2x2,
     assemble_full_state,
-    assemble_two_radius_state,
-    concurrence,
     concurrence_from_delta,
-    entanglement_entropy,
     entanglement_report,
     entangling_phase,
     entangling_phase_value,
     entropy_from_concurrence,
     report_from_parameters,
-    schmidt_decompose,
 )
 
 __all__ = [
@@ -70,12 +66,9 @@ __all__ = [
     "SweepSpec",
     "UnitSystem",
     "assemble_full_state",
-    "assemble_two_radius_state",
     "bohr_orbit",
-    "concurrence",
     "concurrence_from_delta",
     "constants_for",
-    "entanglement_entropy",
     "entanglement_report",
     "entangling_phase",
     "entangling_phase_value",
@@ -91,7 +84,6 @@ __all__ = [
     "report_from_parameters",
     "rotating_disk_metric",
     "sagnac_phase",
-    "schmidt_decompose",
     "solve_omega2",
     "solve_r2",
     "sweep",

@@ -1,4 +1,4 @@
-"""Unit systems, pinned physical constants, and the linear-regime guard.
+"""Unit systems, pinned constants, the linear-regime guard and the config gate.
 
 Constants are hard-coded CODATA 2018 values so every run reproduces
 bit-identical numbers; nothing is read from the environment.
@@ -81,12 +81,12 @@ def regime_check(omega: float, r: float, consts: ConstantSet) -> RegimeCheck:
     """Classify how far (omega, r) sits from the flat-background regime.
 
     beta <= 0.1 is Ok, 0.1 < beta < 1 is Warn (computation proceeds),
-    beta >= 1 is Error.
+    beta >= 1 is Error, and so is a nan beta.
     """
-    if r < 0:
+    if not r >= 0:  # also refuses a nan radius
         raise ValueError("radius must be non-negative")
     beta = abs(omega) * r / consts.c
-    if beta >= ERROR_BETA:
+    if not beta < ERROR_BETA:
         status = RegimeStatus.ERROR
     elif beta > WARN_BETA:
         status = RegimeStatus.WARN
@@ -103,3 +103,21 @@ def require_linear_regime(omega: float, r: float, consts: ConstantSet) -> Regime
             f"rim speed beta = {check.beta:g} is outside the linear regime"
         )
     return check
+
+
+def require_valid_config(
+    m: float, r1: float, r2: float, omega1: float, omega2: float, consts: ConstantSet
+) -> RegimeCheck:
+    """Raise ValueError unless the parameters form a valid configuration:
+    positive mass, non-negative radii, every branch rim below light speed.
+
+    Returns the regime of the fastest rim. A nan anywhere is refused.
+    """
+    if not m > 0:
+        raise ValueError("mass must be positive")
+    if not (r1 >= 0 and r2 >= 0):
+        raise ValueError("radii must be non-negative")
+    # max() below would drop a nan omega2, so test both frequencies here
+    if math.isnan(omega1) or math.isnan(omega2):
+        raise ValueError("frequencies must be numbers")
+    return require_linear_regime(max(abs(omega1), abs(omega2)), max(r1, r2), consts)

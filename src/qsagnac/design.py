@@ -13,17 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ConstantSet, RegimeStatus, regime_check
+from .constants import ConstantSet, RegimeStatus, regime_check, require_valid_config
 from .state import (
     MAXIMAL_TOL,
     InterferometerConfig,
     concurrence_from_delta,
     entangling_phase_value,
     entropy_from_concurrence,
-    require_valid_config,
 )
 
 VARY_CHOICES = ("omega2", "r2", "mass")
+MAX_SWEEP_ROWS = 10**6  # a sweep is held in memory whole, so --count is bounded
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.varying not in VARY_CHOICES:
             raise ValueError(f"varying must be one of {VARY_CHOICES}")
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
+        if not 1 <= self.count <= MAX_SWEEP_ROWS:
+            raise ValueError(f"count must be between 1 and {MAX_SWEEP_ROWS}")
         if self.start > self.stop:
             raise ValueError("start must not exceed stop")
 
@@ -79,10 +79,11 @@ def solve_omega2(
     """
     if m <= 0:
         raise ValueError("mass must be positive")
-    if r1 == r2:
-        raise ValueError("no solution: degenerate radii")
     area_gap = math.pi * ((r1 - r2) * (r1 + r2))  # A1 - A2
-    omega2 = omega1 - _odd(k) * math.pi * consts.hbar / (2.0 * m * area_gap)
+    denominator = 2.0 * m * area_gap  # zero for r2 = +-r1 or on underflow
+    if denominator == 0:
+        raise ValueError("no solution: 2 m (A1 - A2) is zero")
+    omega2 = omega1 - _odd(k) * math.pi * consts.hbar / denominator
     require_valid_config(m, r1, r2, omega1, omega2, consts)
     _require_maximal(entangling_phase_value(m, r1, r2, omega1, omega2, consts))
     return omega2
@@ -97,9 +98,10 @@ def solve_r2(
     """
     if m <= 0:
         raise ValueError("mass must be positive")
-    if omega1 == omega2:
-        raise ValueError("no solution: degenerate frequencies")
-    radicand = r1 * r1 - _odd(k) * consts.hbar / (2.0 * m * (omega1 - omega2))
+    denominator = 2.0 * m * (omega1 - omega2)  # zero if omega2 = omega1 or on underflow
+    if denominator == 0:
+        raise ValueError("no solution: 2 m (omega1 - omega2) is zero")
+    radicand = r1 * r1 - _odd(k) * consts.hbar / denominator
     if radicand < 0:
         raise ValueError("no real radius for this k")
     r2 = math.sqrt(radicand)
@@ -128,6 +130,10 @@ def _row(spec: SweepSpec, value: float) -> SweepRow:
     else:
         status = RegimeStatus.ERROR
     delta = entangling_phase_value(m, r1, r2, omega1, omega2, consts)
+    if not math.isfinite(delta):  # no row can carry it, so the sweep is refused
+        raise ValueError(
+            f"delta = {delta} is not finite at {spec.varying} = {value:g}"
+        )
     conc = concurrence_from_delta(delta)
     return SweepRow(
         value=value,

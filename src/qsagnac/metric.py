@@ -9,6 +9,7 @@ h00 = omega^2 r^2 / c^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +40,12 @@ def flat_background(r: float) -> np.ndarray:
 def rotating_disk_metric(omega: float, r: float, consts: ConstantSet) -> DiskMetric:
     """Metric components at radius r on a disk spinning at omega.
 
-    Rejects negative radii and rim speeds at or above c.
+    Rejects negative radii, rim speeds at or above c, and radii whose
+    square overflows a double.
     """
     require_linear_regime(omega, r, consts)
+    if math.isinf(r * r):
+        raise ValueError(f"radius {r:g} is too large: r^2 overflows a double")
     g = flat_background(r)
     rim = omega * r / consts.c
     g[0, 0] = -1.0 + rim * rim

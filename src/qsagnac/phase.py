@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import ConstantSet, RegimeCheck, require_linear_regime
+from .constants import ConstantSet, RegimeCheck, require_valid_config
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,7 @@ def sagnac_phase(m: float, omega: float, r: float, consts: ConstantSet) -> Phase
     omega = 0 yields phi = 0 through the closed form, with the (divergent)
     loop time flagged as None.
     """
-    if m <= 0:
-        raise ValueError("mass must be positive")
-    check = require_linear_regime(omega, r, consts)
+    check = require_valid_config(m, r, r, omega, omega, consts)
     rim = omega * r / consts.c
     return PhaseResult(
         phi=loop_phase(m, omega, r, consts),
@@ -67,9 +65,5 @@ def two_radius_relative_phase(
     m: float, omega: float, r1: float, r2: float, consts: ConstantSet
 ) -> float:
     """Detectable phase between branches at two radii, (2 m / hbar) omega (A2 - A1)."""
-    if m <= 0:
-        raise ValueError("mass must be positive")
-    if r1 < 0 or r2 < 0:
-        raise ValueError("radii must be non-negative")
-    require_linear_regime(omega, max(r1, r2), consts)
+    require_valid_config(m, r1, r2, omega, omega, consts)
     return 2.0 * m * omega * math.pi * (r2 * r2 - r1 * r1) / consts.hbar

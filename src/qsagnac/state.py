@@ -19,17 +19,11 @@ target |r1>(|omega1> + |omega2>) + |r2>(|omega1> - |omega2>).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .constants import (
-    ConstantSet,
-    UnitSystem,
-    constants_for,
-    require_linear_regime,
-)
+from .constants import ConstantSet, UnitSystem, constants_for, require_valid_config
 from .phase import loop_phase
 
 NORM_TOL = 1e-12
@@ -42,18 +36,6 @@ def _require_resolved_phase(x: float) -> None:
     # Also refuses inf and nan, for which ulp is inf and nan.
     if not math.ulp(x) <= MAXIMAL_TOL:
         raise ValueError(f"phase {x:.6g} rad is past double resolution")
-
-
-def require_valid_config(
-    m: float, r1: float, r2: float, omega1: float, omega2: float, consts: ConstantSet
-) -> None:
-    """Raise ValueError unless the parameters form a valid configuration:
-    positive mass, non-negative radii, every branch rim below light speed."""
-    if not m > 0:
-        raise ValueError("mass must be positive")
-    if not (r1 >= 0 and r2 >= 0):
-        raise ValueError("radii must be non-negative")
-    require_linear_regime(max(abs(omega1), abs(omega2)), max(r1, r2), consts)
 
 
 @dataclass(frozen=True)
@@ -79,18 +61,25 @@ class InterferometerConfig:
 
 @dataclass(frozen=True)
 class PureState2x2:
-    """Normalized amplitudes over the {r1, r2} x {omega1, omega2} basis."""
+    """Normalized amplitudes over the {r1, r2} x {omega1, omega2} basis.
 
-    amplitudes: np.ndarray
+    Any 2x2 nesting of numbers, an array included, is stored as two rows of
+    two Python complex numbers.
+    """
+
+    amplitudes: tuple[tuple[complex, complex], tuple[complex, complex]]
     row_labels: tuple[str, str] = ("r1", "r2")
     col_labels: tuple[str, str] = ("omega1", "omega2")
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2, 2):
+        try:
+            amps = tuple(tuple(complex(a) for a in row) for row in self.amplitudes)
+        except TypeError:  # a row or an entry that is not a number
+            raise ValueError("amplitude matrix must be 2x2") from None
+        if len(amps) != 2 or any(len(row) != 2 for row in amps):
             raise ValueError("amplitude matrix must be 2x2")
         object.__setattr__(self, "amplitudes", amps)
-        norm = float(np.sum(np.abs(amps) ** 2))
+        norm = sum(abs(a) ** 2 for row in amps for a in row)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: sum |M|^2 = {norm!r}")
 
@@ -104,21 +93,6 @@ class EntanglementReport:
     maximal: bool
 
 
-def assemble_two_radius_state(
-    m: float, omega: float, r1: float, r2: float, consts: ConstantSet
-) -> np.ndarray:
-    """Single-frequency state (1/sqrt2)(e^{i phi(r1)}, e^{i phi(r2)})."""
-    if m <= 0:
-        raise ValueError("mass must be positive")
-    if r1 < 0 or r2 < 0:
-        raise ValueError("radii must be non-negative")
-    require_linear_regime(omega, max(r1, r2), consts)
-    phases = np.array(
-        [loop_phase(m, omega, r1, consts), loop_phase(m, omega, r2, consts)]
-    )
-    return np.exp(1j * phases) / math.sqrt(2.0)
-
-
 def assemble_full_state(cfg: InterferometerConfig) -> PureState2x2:
     """Four-branch state after each (radius, frequency) branch loops once.
 
@@ -127,14 +101,14 @@ def assemble_full_state(cfg: InterferometerConfig) -> PureState2x2:
     if cfg.omega1 == 0 or cfg.omega2 == 0:
         raise ValueError("each frequency branch must complete a loop: omega != 0")
     consts = cfg.constants
-    phases = np.array(
-        [
-            [loop_phase(cfg.m, o, r, consts) for o in (cfg.omega1, cfg.omega2)]
-            for r in (cfg.r1, cfg.r2)
-        ]
+    phases = [
+        [loop_phase(cfg.m, o, r, consts) for o in (cfg.omega1, cfg.omega2)]
+        for r in (cfg.r1, cfg.r2)
+    ]
+    _require_resolved_phase(max(abs(p) for row in phases for p in row))
+    return PureState2x2(
+        amplitudes=tuple(tuple(0.5 * cmath.exp(1j * p) for p in row) for row in phases)
     )
-    _require_resolved_phase(float(np.abs(phases).max()))
-    return PureState2x2(amplitudes=0.5 * np.exp(1j * phases))
 
 
 def entangling_phase_value(
@@ -158,42 +132,19 @@ def entangling_phase(cfg: InterferometerConfig) -> float:
     )
 
 
-def concurrence(state: PureState2x2) -> float:
-    """Pure-state concurrence 2 |det M|, 0 for product states and 1 at maximum."""
-    m = state.amplitudes
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return min(1.0, float(2.0 * abs(det)))
-
-
 def concurrence_from_delta(delta: float) -> float:
     """Concurrence produced by an entangling phase: |sin(delta/2)|."""
     return abs(math.sin(0.5 * delta))
 
 
-def schmidt_decompose(state: PureState2x2) -> tuple[float, float]:
-    """Schmidt coefficients (singular values of M), descending."""
-    s = np.linalg.svd(state.amplitudes, compute_uv=False)
-    return (float(s[0]), float(s[1]))
-
-
-def _entropy_bits(lam1: float, lam2: float) -> float:
-    s = 0.0
-    for lam in (lam1, lam2):
-        if lam > 0.0:
-            s -= lam * math.log2(lam)
-    return s
-
-
-def entanglement_entropy(state: PureState2x2) -> float:
-    """Reduced-state von Neumann entropy in bits, -sum lam log2 lam."""
-    s1, s2 = schmidt_decompose(state)
-    return _entropy_bits(s1 * s1, s2 * s2)
-
-
 def entropy_from_concurrence(c: float) -> float:
     """Entropy in bits of a pure two-qubit state with concurrence c."""
     gap = math.sqrt(max(0.0, 1.0 - c * c))
-    return _entropy_bits(0.5 * (1.0 + gap), 0.5 * (1.0 - gap))
+    s = 0.0
+    for lam in (0.5 * (1.0 + gap), 0.5 * (1.0 - gap)):
+        if lam > 0.0:
+            s -= lam * math.log2(lam)
+    return s
 
 
 def report_from_parameters(

@@ -9,21 +9,26 @@ import time
 from pathlib import Path
 
 import numpy as np
-from helpers import random_config, svd_concurrence
+from helpers import (
+    concurrence,
+    entanglement_entropy,
+    random_config,
+    schmidt_decompose,
+    svd_concurrence,
+)
 
 from qsagnac import (
     InterferometerConfig,
+    PureState2x2,
     UnitSystem,
     assemble_full_state,
     bohr_orbit,
-    concurrence,
     concurrence_from_delta,
     constants_for,
     entanglement_report,
     entangling_phase,
     hydrogen_pair_report,
     sagnac_phase,
-    schmidt_decompose,
     solve_omega2,
     solve_r2,
 )
@@ -147,8 +152,6 @@ def test_criterion_5_hydrogen_estimate():
 def test_criterion_6_invariance_suite():
     t0 = time.perf_counter()
     rng = np.random.default_rng(106)
-
-    from qsagnac import PureState2x2, concurrence, entanglement_entropy
 
     for _ in range(500):  # local phase invariance
         state = assemble_full_state(random_config(rng))

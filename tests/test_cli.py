@@ -309,6 +309,23 @@ def test_domain_errors_exit_1_with_clean_stdout(capsys):
          "--r1", "-1", "--r2", "2", "--omega1", "0.01", "--k", "0"],
         ["solve", "--target", "r2", "--units", "natural", "--m", "1000",
          "--r1", "1", "--omega1", "2.0", "--omega2", "2.0005", "--k", "0"],
+        # a solver denominator of zero: opposite radii, then products that
+        # underflow
+        ["solve", "--target", "omega2", "--units", "natural", "--m", "1",
+         "--r1=-1", "--r2", "1", "--omega1", "0.01", "--k", "0"],
+        ["solve", "--target", "omega2", "--units", "natural", "--m", "1e-300",
+         "--r1", "1e-100", "--r2", "2e-100", "--omega1", "0.01", "--k", "0"],
+        ["solve", "--target", "r2", "--units", "natural", "--m", "1e-300",
+         "--r1", "1", "--omega1", "1e-30", "--omega2", "0", "--k", "0"],
+        # r * r overflows
+        ["metric", "--units", "natural", "--omega", "0", "--r", "1e200"],
+        # a row whose delta overflows, and a count above the bound
+        ["sweep", "--vary", "mass", "--start", "1e300", "--stop", "1e308",
+         "--count", "3", "--units", "natural", "--m", "1000", "--r1", "1",
+         "--r2", "1.41421356237", "--omega1", "0.01", "--omega2", "0.0105"],
+        ["sweep", "--vary", "omega2", "--start", "0.009", "--stop", "0.012",
+         "--count", "1000001", "--units", "natural", "--m", "1000", "--r1", "1",
+         "--r2", "1.41421356237", "--omega1", "0.01", "--omega2", "0.0105"],
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)

@@ -61,6 +61,9 @@ def test_regime_check_thresholds_are_inclusive():
     assert regime_check(0.1, 1.0, NATURAL).status is RegimeStatus.OK
     assert regime_check(1.0, 1.0, NATURAL).status is RegimeStatus.ERROR
     assert regime_check(0.5, 1.0, NATURAL).status is RegimeStatus.WARN
+    # a nan beta is past every threshold
+    assert regime_check(math.nan, 1.0, NATURAL).status is RegimeStatus.ERROR
+    assert regime_check(math.inf, 0.0, NATURAL).status is RegimeStatus.ERROR
 
 
 def test_regime_check_sign_of_omega_is_irrelevant():
@@ -70,6 +73,8 @@ def test_regime_check_sign_of_omega_is_irrelevant():
 def test_regime_check_rejects_negative_radius():
     with pytest.raises(ValueError):
         regime_check(0.1, -1.0, NATURAL)
+    with pytest.raises(ValueError):
+        regime_check(0.1, math.nan, NATURAL)
 
 
 def test_regime_check_is_monotone():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import concurrence
 
 from qsagnac import (
     InterferometerConfig,
@@ -9,7 +10,6 @@ from qsagnac import (
     SweepSpec,
     UnitSystem,
     assemble_full_state,
-    concurrence,
     concurrence_from_delta,
     constants_for,
     entangling_phase_value,
@@ -17,6 +17,7 @@ from qsagnac import (
     solve_r2,
     sweep,
 )
+from qsagnac.design import MAX_SWEEP_ROWS
 
 NATURAL = constants_for(UnitSystem.NATURAL)
 SI = constants_for(UnitSystem.SI)
@@ -65,6 +66,11 @@ def test_solve_omega2_errors():
         solve_omega2(1000.0, -1.0, 2.0, 0.01, 0, NATURAL)
     with pytest.raises(ValueError):  # not OverflowError
         solve_omega2(1000.0, 1.0, 2.0, 0.01, 10**400, NATURAL)
+    # 2 m (A1 - A2) is zero: opposite radii, then a product that underflows
+    with pytest.raises(ValueError):  # not ZeroDivisionError
+        solve_omega2(1.0, -1.0, 1.0, 0.01, 0, NATURAL)
+    with pytest.raises(ValueError):
+        solve_omega2(1e-300, 1e-100, 2e-100, 0.01, 0, NATURAL)
 
 
 def test_solve_r2_worked_example():
@@ -84,6 +90,8 @@ def test_solve_r2_errors():
         solve_r2(1000.0, 1.0, 2.0, 2.0005, 0, NATURAL)
     with pytest.raises(ValueError):  # not OverflowError
         solve_r2(1000.0, 1.0, 0.01, 0.02, 10**400, NATURAL)
+    with pytest.raises(ValueError):  # 2 m (omega1 - omega2) underflows to zero
+        solve_r2(1e-300, 1.0, 1e-30, 0.0, 0, NATURAL)
 
 
 def test_solution_hits_odd_multiples_of_pi():
@@ -162,6 +170,10 @@ def test_sweep_marks_invalid_configs():
     assert len(rows) == 5
     assert rows[0].regime is RegimeStatus.ERROR  # m <= 0 is not a valid config
     assert rows[-1].regime is RegimeStatus.OK
+    # a delta that overflows fits no row: the sweep is refused, naming the value
+    spec = SweepSpec(varying="mass", start=1e300, stop=1e308, count=3, base=BASE)
+    with pytest.raises(ValueError, match=r"not finite at mass = 1e\+308"):
+        sweep(spec)
 
 
 def test_sweep_varies_each_field():
@@ -178,3 +190,6 @@ def test_spec_validation():
         SweepSpec(varying="omega2", start=0.0, stop=1.0, count=0, base=BASE)
     with pytest.raises(ValueError):
         SweepSpec(varying="omega2", start=1.0, stop=0.0, count=3, base=BASE)
+    with pytest.raises(ValueError, match="count"):
+        SweepSpec(varying="omega2", start=0.0, stop=1.0, count=MAX_SWEEP_ROWS + 1,
+                  base=BASE)

@@ -110,3 +110,7 @@ def test_error_regime_and_negative_radius_rejected():
         rotating_disk_metric(1.5, 1.0, NATURAL)
     with pytest.raises(ValueError):
         rotating_disk_metric(0.1, -1.0, NATURAL)
+    with pytest.raises(ValueError):
+        rotating_disk_metric(math.nan, 1.0, NATURAL)
+    with pytest.raises(ValueError, match="overflows"):  # r * r is inf
+        rotating_disk_metric(0.0, 1e200, NATURAL)

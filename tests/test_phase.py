@@ -128,3 +128,14 @@ def test_invalid_inputs_rejected():
         sagnac_phase(1.0, 0.001, -1.0, NATURAL)
     with pytest.raises(ValueError):
         two_radius_relative_phase(1.0, 0.9, 0.5, 2.0, NATURAL)  # error at max r
+    # a nan in any argument is refused, not returned as a nan phase
+    with pytest.raises(ValueError):
+        sagnac_phase(math.nan, 0.1, 1.0, NATURAL)
+    with pytest.raises(ValueError):
+        sagnac_phase(1.0, math.nan, 1.0, NATURAL)
+    with pytest.raises(ValueError):
+        sagnac_phase(1.0, 0.1, math.nan, NATURAL)
+    with pytest.raises(ValueError):
+        two_radius_relative_phase(1.0, 0.1, 1.0, math.nan, NATURAL)
+    with pytest.raises(ValueError):
+        two_radius_relative_phase(1.0, 0.1, math.nan, 1.0, NATURAL)

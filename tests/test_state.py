@@ -2,24 +2,26 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_config, svd_concurrence
+from helpers import (
+    concurrence,
+    entanglement_entropy,
+    random_config,
+    schmidt_decompose,
+    svd_concurrence,
+)
 
 from qsagnac import (
     InterferometerConfig,
     PureState2x2,
     UnitSystem,
     assemble_full_state,
-    assemble_two_radius_state,
-    concurrence,
     concurrence_from_delta,
     constants_for,
-    entanglement_entropy,
     entanglement_report,
     entangling_phase,
     entropy_from_concurrence,
+    loop_phase,
     report_from_parameters,
-    schmidt_decompose,
-    two_radius_relative_phase,
 )
 
 NATURAL = constants_for(UnitSystem.NATURAL)
@@ -42,26 +44,33 @@ def state_with_delta(delta):
     return PureState2x2(0.5 * np.array([[1, 1], [1, np.exp(1j * delta)]]))
 
 
-def test_two_radius_state_at_rest_is_uniform():
-    v = assemble_two_radius_state(1.0, 0.0, 1.0, 2.0, NATURAL)
-    assert np.array_equal(v, np.array([1.0, 1.0]) / math.sqrt(2.0))
-
-
-def test_two_radius_state_relative_phase_matches_phase_engine():
-    m, omega, r1, r2 = 1.0, 0.001, 1.0, 2.0
-    v = assemble_two_radius_state(m, omega, r1, r2, NATURAL)
-    assert math.isclose(float(np.sum(np.abs(v) ** 2)), 1.0, abs_tol=1e-15)
-    measured = float(np.angle(v[1] * np.conj(v[0])))
-    expected = two_radius_relative_phase(m, omega, r1, r2, NATURAL)
-    assert math.isclose(measured, expected, rel_tol=1e-10)
-
-
 def test_full_state_of_worked_config():
     state = assemble_full_state(WORKED)
     target = 0.5 * np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex)
     assert np.allclose(state.amplitudes, target, atol=1e-11)
     assert state.row_labels == ("r1", "r2")
     assert state.col_labels == ("omega1", "omega2")
+
+
+def test_amplitudes_match_numpy_exp_bitwise():
+    # the state subcommand prints these bits, so cmath.exp must give what
+    # 0.5 * np.exp(1j * phases) gives, signed zeros included
+    rng = np.random.default_rng(67)
+    configs = [random_config(rng) for _ in range(300)]
+    configs += [  # r1 = 0 gives zero phases, -0.0 at negative frequencies
+        InterferometerConfig(m=2.0, r1=0.0, r2=1.5, omega1=o1, omega2=o2,
+                             units=UnitSystem.NATURAL)
+        for o1, o2 in [(0.01, 0.02), (-0.01, 0.02), (0.01, -0.02), (-0.01, -0.02)]
+    ]
+    for cfg in configs:
+        phases = np.array([
+            [loop_phase(cfg.m, o, r, NATURAL) for o in (cfg.omega1, cfg.omega2)]
+            for r in (cfg.r1, cfg.r2)
+        ])
+        expected = 0.5 * np.exp(1j * phases)
+        got = np.array(assemble_full_state(cfg).amplitudes)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes(), cfg
 
 
 def test_full_state_with_trivial_phases_is_product():
@@ -185,6 +194,10 @@ def test_unnormalized_states_are_rejected():
         PureState2x2(0.4 * np.ones((2, 2)))
     with pytest.raises(ValueError):
         PureState2x2(np.ones((2, 2)))
+    # normalized, but not 2x2
+    for amps in (np.full(4, 0.5), [[0.5, 0.5, 0.5], [0.5]]):
+        with pytest.raises(ValueError, match="2x2"):
+            PureState2x2(amps)
 
 
 def test_config_validation():
@@ -198,6 +211,11 @@ def test_config_validation():
         # rim speed 1.5c at (omega2, r2)
         InterferometerConfig(m=1.0, r1=1.0, r2=1.5, omega1=0.01, omega2=1.0,
                              units=UnitSystem.NATURAL)
+    for bad in ([math.nan, 1.0, 2.0, 0.01, 0.02], [1.0, math.nan, 2.0, 0.01, 0.02],
+                [1.0, 1.0, math.nan, 0.01, 0.02], [1.0, 1.0, 2.0, math.nan, 0.02],
+                [1.0, 1.0, 2.0, 0.01, math.nan]):
+        with pytest.raises(ValueError):
+            InterferometerConfig(*bad, UnitSystem.NATURAL)
 
 
 def test_states_are_normalized():

@@ -96,12 +96,15 @@ def regime_check(omega: float, r: float, consts: ConstantSet) -> RegimeCheck:
 
 
 def require_linear_regime(omega: float, r: float, consts: ConstantSet) -> RegimeCheck:
-    """regime_check that raises ValueError when the status is Error."""
+    """regime_check that raises ValueError when the status is Error or when
+    r^2, which every area and metric component carries, overflows a double."""
     check = regime_check(omega, r, consts)
     if check.status is RegimeStatus.ERROR:
         raise ValueError(
             f"rim speed beta = {check.beta:g} is outside the linear regime"
         )
+    if math.isinf(r * r):
+        raise ValueError(f"radius {r:g} is too large: r^2 overflows a double")
     return check
 
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import ConstantSet, RegimeStatus, regime_check, require_valid_config
 from .state import (
     MAXIMAL_TOL,
@@ -41,6 +39,9 @@ class SweepSpec:
             raise ValueError(f"count must be between 1 and {MAX_SWEEP_ROWS}")
         if self.start > self.stop:
             raise ValueError("start must not exceed stop")
+        span = self.stop - self.start
+        if not math.isfinite(span):
+            raise ValueError(f"span stop - start = {span:g} is not finite")
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,22 @@ def _row(spec: SweepSpec, value: float) -> SweepRow:
     )
 
 
+def _grid(start: float, stop: float, count: int) -> list[float]:
+    """np.linspace(start, stop, count) bit for bit, for a finite span."""
+    start, stop = float(start), float(stop)
+    span = stop - start
+    if count == 1:
+        return [0.0 * span + start]  # not [start]: numpy turns a -0.0 start into 0.0
+    div = count - 1
+    step = span / div
+    if step == 0:  # a zero or subnormal span: divide first, as numpy does
+        values = [(i / div) * span + start for i in range(div)]
+    else:
+        values = [i * step + start for i in range(div)]
+    values.append(stop)
+    return values
+
+
 def sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate `count` evenly spaced points, endpoints included, ascending."""
-    values = np.linspace(spec.start, spec.stop, spec.count)
-    return [_row(spec, float(v)) for v in values]
+    return [_row(spec, v) for v in _grid(spec.start, spec.stop, spec.count)]

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
 import pytest
 
+import qsagnac
 from qsagnac.cli import format_float, main, to_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -128,6 +132,37 @@ def test_golden_outputs_are_bit_identical(capsys):
         assert first == golden
 
 
+# Runs each invocation in one fresh interpreter and prints, after each,
+# whether numpy has been imported so far.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import qsagnac
+print(json.dumps(["import qsagnac", "numpy" in sys.modules]))
+from qsagnac.cli import main
+for name, argv in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([name, code, "numpy" in sys.modules]))
+"""
+
+
+def test_only_the_metric_imports_numpy():
+    # metric runs last, so every other subcommand is seen in a process
+    # where numpy has not been imported by anything else
+    names = sorted(GOLDEN_INVOCATIONS, key=lambda name: name == "metric.json")
+    src = str(Path(qsagnac.__file__).parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    probe = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE],
+        input=json.dumps([[name, GOLDEN_INVOCATIONS[name]] for name in names]),
+        capture_output=True, text=True, env=env, check=True,
+    )
+    lines = [json.loads(line) for line in probe.stdout.splitlines()]
+    assert lines[0] == ["import qsagnac", False]
+    assert lines[1:] == [[name, 0, name == "metric.json"] for name in names]
+
+
 def test_json_outputs_reparse_to_the_same_text(capsys):
     invocations = [
         ["constants", "--units", "natural"],
@@ -222,6 +257,21 @@ def test_sweep_csv(capsys):
     # repeated run is bit-identical
     code, again, _ = run(capsys, *argv)
     assert again == out
+
+
+def test_sweep_over_the_largest_span_is_quiet(capsys):
+    # the last point must be stop itself: 72 * step overflows here
+    code, out, err = run(
+        capsys, "sweep", "--vary", "omega2", "--start", "0",
+        "--stop", "1.7976931348623157e308", "--count", "73", "--format", "csv",
+        "--units", "natural", "--m", "1e-300", "--r1", "1", "--r2", "1.41421356237",
+        "--omega1", "0.01", "--omega2", "0.0105",
+    )
+    assert code == 0
+    assert err == ""
+    lines = out.strip().split("\n")
+    assert len(lines) == 74
+    assert float(lines[-1].split(",")[0]) == 1.7976931348623157e308
 
 
 def test_sweep_json(capsys):
@@ -319,8 +369,13 @@ def test_domain_errors_exit_1_with_clean_stdout(capsys):
          "--r1", "1", "--omega1", "1e-30", "--omega2", "0", "--k", "0"],
         # r * r overflows
         ["metric", "--units", "natural", "--omega", "0", "--r", "1e200"],
+        ["phase", "--units", "natural", "--m", "1", "--omega", "0", "--r", "1e200"],
         # a row whose delta overflows, and a count above the bound
         ["sweep", "--vary", "mass", "--start", "1e300", "--stop", "1e308",
+         "--count", "3", "--units", "natural", "--m", "1000", "--r1", "1",
+         "--r2", "1.41421356237", "--omega1", "0.01", "--omega2", "0.0105"],
+        # a span stop - start that overflows
+        ["sweep", "--vary", "omega2", "--start=-1e308", "--stop", "1e308",
          "--count", "3", "--units", "natural", "--m", "1000", "--r1", "1",
          "--r2", "1.41421356237", "--omega1", "0.01", "--omega2", "0.0105"],
         ["sweep", "--vary", "omega2", "--start", "0.009", "--stop", "0.012",

@@ -139,3 +139,8 @@ def test_invalid_inputs_rejected():
         two_radius_relative_phase(1.0, 0.1, 1.0, math.nan, NATURAL)
     with pytest.raises(ValueError):
         two_radius_relative_phase(1.0, 0.1, math.nan, 1.0, NATURAL)
+    # r * r overflows: refused naming the radius, not returned as phi = nan
+    with pytest.raises(ValueError, match="radius"):
+        sagnac_phase(1.0, 0.0, 1e200, NATURAL)
+    with pytest.raises(ValueError, match="radius"):
+        two_radius_relative_phase(1.0, 0.0, 1.0, 1e200, NATURAL)

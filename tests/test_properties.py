@@ -1,18 +1,22 @@
-"""Property tests of the CLI's float formatting and JSON serializer."""
+"""Property tests of the CLI's float formatting and JSON serializer and of
+the sweep grid."""
 
 import json
 import math
 import string
 import struct
+import sys
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from qsagnac.cli import format_float, to_json
+from qsagnac.design import _grid
 
 
 def bits(x: float) -> bytes:
@@ -48,3 +52,27 @@ VALUES = st.recursive(
 @given(VALUES)
 def test_to_json_parses_back_to_the_same_value(value):
     assert json.loads(to_json(value)) == value
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+HALF_MAX = sys.float_info.max / 2
+
+
+@given(FINITE, FINITE, st.integers(1, 2000))
+@example(-0.0, -0.0, 1)  # one point: numpy gives 0.0 for a start of -0.0
+@example(-0.0, 0.0, 1)
+@example(2.5, 2.5, 7)  # start == stop
+@example(-0.0, 0.0, 5)  # signed zeros at both ends
+@example(0.0, -0.0, 4)
+@example(0.0, 5e-324, 3)  # subnormal span: step rounds to 0
+@example(-5e-324, 1e-323, 9)
+@example(-HALF_MAX, HALF_MAX, 2000)  # the largest finite span
+@example(-HALF_MAX, HALF_MAX, 1)
+def test_sweep_grid_matches_numpy_linspace_bit_for_bit(a, b, count):
+    start, stop = (a, b) if a <= b else (b, a)
+    assume(math.isfinite(stop - start))
+    # numpy also computes the last point as div * step, which can overflow
+    # near the largest span before it is overwritten with stop
+    with np.errstate(over="ignore"):
+        expected = np.linspace(start, stop, count).tolist()
+    assert [bits(v) for v in _grid(start, stop, count)] == [bits(v) for v in expected]

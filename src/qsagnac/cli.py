@@ -2,21 +2,19 @@
 
 Output is JSON (CSV for sweeps) with floats printed to 17 significant
 digits so values survive a parse round-trip bit-exactly. Each payload is
-built from the result dataclasses, whose fields give its keys. Exit codes:
+built from the result named tuples, whose fields give its keys. Exit codes:
 0 success, 1 domain error (diagnostic on stderr), 2 argument error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import functools
 import math
 import sys
 from enum import Enum
 
 from .constants import UnitSystem, constants_for, regime_check
-from .design import SweepSpec, solve_omega2, solve_r2, sweep
+from .design import VARY_CHOICES, SweepSpec, solve_omega2, solve_r2, sweep
 from .hydrogen import bohr_orbit, hydrogen_pair_report, hydrogen_phase
 from .metric import perturbation, rotating_disk_metric
 from .phase import sagnac_phase, two_radius_relative_phase
@@ -29,7 +27,7 @@ from .state import (
 )
 
 # The numeric fields of InterferometerConfig, which are also the config flags.
-_CONFIG_NAMES = ("m", "r1", "r2", "omega1", "omega2")
+_CONFIG_NAMES = InterferometerConfig._fields[:5]
 
 
 def format_float(x: float) -> str:
@@ -42,23 +40,10 @@ def format_float(x: float) -> str:
     return s
 
 
-@functools.cache
-def _field_names(cls) -> tuple[str, ...]:
-    """Field names of a dataclass in declaration order; () for other classes."""
-    if not dataclasses.is_dataclass(cls):
-        return ()
-    return tuple(field.name for field in dataclasses.fields(cls))
-
-
-def _fields(obj) -> dict:
-    """A dataclass instance's fields by name, in declaration order."""
-    return {name: getattr(obj, name) for name in _field_names(type(obj))}
-
-
 def to_json(value, indent: int = 0) -> str:
     """Serializer with fixed float formatting (stdlib json hardcodes repr).
 
-    A dataclass prints as its fields, an Enum as its value, an array
+    A named tuple prints as its fields, an Enum as its value, an array
     through .tolist(), and a complex number as {"re", "im"}.
     """
     if isinstance(value, float):
@@ -67,8 +52,8 @@ def to_json(value, indent: int = 0) -> str:
         return '"' + value + '"'
     if isinstance(value, Enum):
         return to_json(value.value, indent)
-    if _field_names(type(value)):
-        value = _fields(value)
+    if hasattr(value, "_asdict"):  # a named tuple, before the tuple branch
+        value = value._asdict()
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
@@ -112,7 +97,7 @@ def _pair(text: str) -> tuple[int, int]:
 
 def cmd_constants(args) -> str:
     units = UnitSystem(args.units)
-    return to_json({"units": units, **_fields(constants_for(units))})
+    return to_json({"units": units, **constants_for(units)._asdict()})
 
 
 def cmd_metric(args) -> str:
@@ -125,7 +110,7 @@ def cmd_metric(args) -> str:
             "r": args.r,
             "units": units,
             "g": metric.g,
-            **_fields(perturbation(metric)),
+            **perturbation(metric)._asdict(),
             "regime": regime_check(args.omega, args.r, consts),
         }
     )
@@ -140,7 +125,7 @@ def cmd_phase(args) -> str:
         "omega": args.omega,
         "r": args.r,
         "units": units,
-        **_fields(result),
+        **result._asdict(),
     }
     if args.r2 is not None:
         payload["r2"] = args.r2
@@ -162,7 +147,7 @@ def cmd_state(args) -> str:
     state = assemble_full_state(cfg)
     return to_json(
         {
-            **_fields(cfg),
+            **cfg._asdict(),
             "amplitudes": state.amplitudes,
             "row_basis": state.row_labels,
             "col_basis": state.col_labels,
@@ -172,7 +157,7 @@ def cmd_state(args) -> str:
 
 def cmd_entangle(args) -> str:
     cfg = _config(args)
-    return to_json({**_fields(cfg), **_fields(entanglement_report(cfg))})
+    return to_json({**cfg._asdict(), **entanglement_report(cfg)._asdict()})
 
 
 def cmd_solve(args) -> str:
@@ -197,28 +182,12 @@ def cmd_solve(args) -> str:
 
 
 def cmd_sweep(args) -> str:
-    spec = SweepSpec(
-        varying=args.vary,
-        start=args.start,
-        stop=args.stop,
-        count=args.count,
-        base=_config(args),
-    )
+    spec = SweepSpec(args.vary, args.start, args.stop, args.count, _config(args))
     rows = sweep(spec)
     if args.format == "csv":
         lines = ["value,delta,concurrence,entropy_bits,regime"]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        format_float(row.value),
-                        format_float(row.delta),
-                        format_float(row.concurrence),
-                        format_float(row.entropy_bits),
-                        row.regime.value,
-                    ]
-                )
-            )
+        for row in rows:  # the four numbers, then the regime
+            lines.append(",".join([*map(format_float, row[:4]), row.regime.value]))
         return "\n".join(lines)
     return to_json(rows)
 
@@ -229,18 +198,18 @@ def cmd_hydrogen(args) -> str:
         orbit = bohr_orbit(args.n, consts)
         return to_json(
             {
-                **_fields(orbit),
+                **orbit._asdict(),
                 "beta": regime_check(orbit.omega, orbit.r, consts).beta,
                 **hydrogen_phase(args.n, consts)._asdict(),
             }
         )
     n1, n2 = args.pair
     report = hydrogen_pair_report(n1, n2, consts)
-    return to_json({"n1": n1, "n2": n2, **_fields(report)})
+    return to_json({"n1": n1, "n2": n2, **report._asdict()})
 
 
 def _add_units(parser) -> None:
-    parser.add_argument("--units", choices=["si", "natural"], default="si")
+    parser.add_argument("--units", choices=[u.value for u in UnitSystem], default="si")
 
 
 def _add_config_flags(parser) -> None:
@@ -288,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_units(p)
 
     p = sub.add_parser("sweep", help="one-dimensional entanglement landscape")
-    p.add_argument("--vary", choices=["omega2", "r2", "mass"], required=True)
+    p.add_argument("--vary", choices=VARY_CHOICES, required=True)
     p.add_argument("--start", type=_finite, required=True)
     p.add_argument("--stop", type=_finite, required=True)
     p.add_argument("--count", type=int, required=True)

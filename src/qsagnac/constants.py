@@ -17,8 +17,8 @@ relation a0 = hbar / (m_e c alpha) in both systems.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class UnitSystem(Enum):
@@ -26,19 +26,34 @@ class UnitSystem(Enum):
     NATURAL = "natural"
 
 
-@dataclass(frozen=True)
-class ConstantSet:
+class _Checked:
+    """Named-tuple base whose _make, and so _replace, runs __new__'s checks."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _Constants(NamedTuple):
     hbar: float   # reduced Planck constant [J s]
     c: float      # speed of light [m/s]
     m_e: float    # electron mass [kg]
     a0: float     # Bohr radius [m]
     alpha: float  # fine-structure constant (dimensionless)
 
-    def __post_init__(self):
-        if min(self.hbar, self.c, self.m_e, self.a0, self.alpha) <= 0.0:
+
+class ConstantSet(_Checked, _Constants):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if min(self) <= 0.0:
             raise ValueError("physical constants must be strictly positive")
         if self.alpha >= 1.0:
             raise ValueError("fine-structure constant must be below 1")
+        return self
 
 
 _ALPHA = 7.2973525693e-3
@@ -55,8 +70,12 @@ _NATURAL = ConstantSet(hbar=1.0, c=1.0, m_e=1.0, a0=1.0 / _ALPHA, alpha=_ALPHA)
 
 
 def constants_for(units: UnitSystem) -> ConstantSet:
-    """Fixed constant table for a unit system; pure and deterministic."""
-    return _SI if units is UnitSystem.SI else _NATURAL
+    """Fixed constant table for a unit system; ValueError for anything else."""
+    if units is UnitSystem.SI:
+        return _SI
+    if units is UnitSystem.NATURAL:
+        return _NATURAL
+    raise ValueError(f"unknown unit system: {units!r}")
 
 
 class RegimeStatus(Enum):
@@ -65,8 +84,7 @@ class RegimeStatus(Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class RegimeCheck:
+class RegimeCheck(NamedTuple):
     beta: float          # rim speed as a fraction of c: |omega| r / c
     status: RegimeStatus
 

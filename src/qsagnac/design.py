@@ -9,9 +9,15 @@ landscape around those solutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .constants import ConstantSet, RegimeStatus, regime_check, require_valid_config
+from .constants import (
+    ConstantSet,
+    RegimeStatus,
+    _Checked,
+    regime_check,
+    require_valid_config,
+)
 from .state import (
     MAXIMAL_TOL,
     InterferometerConfig,
@@ -24,15 +30,19 @@ VARY_CHOICES = ("omega2", "r2", "mass")
 MAX_SWEEP_ROWS = 10**6  # a sweep is held in memory whole, so --count is bounded
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class _Spec(NamedTuple):
     varying: str  # one of VARY_CHOICES
     start: float
     stop: float
     count: int
     base: InterferometerConfig
 
-    def __post_init__(self):
+
+class SweepSpec(_Checked, _Spec):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.varying not in VARY_CHOICES:
             raise ValueError(f"varying must be one of {VARY_CHOICES}")
         if not 1 <= self.count <= MAX_SWEEP_ROWS:
@@ -42,10 +52,10 @@ class SweepSpec:
         span = self.stop - self.start
         if not math.isfinite(span):
             raise ValueError(f"span stop - start = {span:g} is not finite")
+        return self
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     value: float
     delta: float
     concurrence: float
@@ -136,13 +146,7 @@ def _row(spec: SweepSpec, value: float) -> SweepRow:
             f"delta = {delta} is not finite at {spec.varying} = {value:g}"
         )
     conc = concurrence_from_delta(delta)
-    return SweepRow(
-        value=value,
-        delta=delta,
-        concurrence=conc,
-        entropy_bits=entropy_from_concurrence(conc),
-        regime=status,
-    )
+    return SweepRow(value, delta, conc, entropy_from_concurrence(conc), status)
 
 
 def _grid(start: float, stop: float, count: int) -> list[float]:

@@ -10,15 +10,13 @@ m_e omega A / hbar equal pi n exactly, order one already at n = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .constants import ConstantSet, UnitSystem, constants_for
 from .state import EntanglementReport, report_from_parameters
 
 
-@dataclass(frozen=True)
-class BohrOrbit:
+class BohrOrbit(NamedTuple):
     n: int        # principal quantum number
     r: float      # n^2 a0
     omega: float  # alpha c / (n^3 a0)

@@ -9,21 +9,19 @@ h00 = omega^2 r^2 / c^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import ConstantSet, require_linear_regime
 
 
-@dataclass(frozen=True)
-class DiskMetric:
+class DiskMetric(NamedTuple):
     g: np.ndarray  # 4x4 components in coordinate order (t, r, phi, z)
     omega: float
     r: float
     c: float       # light speed used to build the components
 
 
-@dataclass(frozen=True)
-class Perturbation:
+class Perturbation(NamedTuple):
     h00: float        # omega^2 r^2 / c^2
     h0phi: float      # omega r^2 / c
     full: np.ndarray  # g minus the flat cylindrical background

@@ -13,13 +13,12 @@ time 2 pi / |omega|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import ConstantSet, RegimeCheck, require_valid_config
 
 
-@dataclass(frozen=True)
-class PhaseResult:
+class PhaseResult(NamedTuple):
     phi: float             # loop phase [rad], same sign as omega
     t_loop: float | None   # 2 pi / |omega|; None when omega == 0
     area: float            # pi r^2

@@ -21,9 +21,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .constants import ConstantSet, UnitSystem, constants_for, require_valid_config
+from .constants import (
+    ConstantSet,
+    UnitSystem,
+    _Checked,
+    constants_for,
+    require_valid_config,
+)
 from .phase import loop_phase
 
 NORM_TOL = 1e-12
@@ -38,10 +44,7 @@ def _require_resolved_phase(x: float) -> None:
         raise ValueError(f"phase {x:.6g} rad is past double resolution")
 
 
-@dataclass(frozen=True)
-class InterferometerConfig:
-    """Full experiment description: mass, two radii, two spin frequencies."""
-
+class _Config(NamedTuple):
     m: float
     r1: float
     r2: float
@@ -49,43 +52,51 @@ class InterferometerConfig:
     omega2: float
     units: UnitSystem = UnitSystem.SI
 
-    def __post_init__(self):
-        require_valid_config(
-            self.m, self.r1, self.r2, self.omega1, self.omega2, self.constants
-        )
+
+class InterferometerConfig(_Checked, _Config):
+    """Full experiment description: mass, two radii, two spin frequencies."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        require_valid_config(*self[:5], self.constants)  # the five numbers
+        return self
 
     @property
     def constants(self) -> ConstantSet:
         return constants_for(self.units)
 
 
-@dataclass(frozen=True)
-class PureState2x2:
+class _Amplitudes(NamedTuple):
+    amplitudes: tuple[tuple[complex, complex], tuple[complex, complex]]
+
+
+class PureState2x2(_Checked, _Amplitudes):
     """Normalized amplitudes over the {r1, r2} x {omega1, omega2} basis.
 
     Any 2x2 nesting of numbers, an array included, is stored as two rows of
     two Python complex numbers.
     """
 
-    amplitudes: tuple[tuple[complex, complex], tuple[complex, complex]]
-    row_labels: tuple[str, str] = ("r1", "r2")
-    col_labels: tuple[str, str] = ("omega1", "omega2")
+    __slots__ = ()
+    row_labels = ("r1", "r2")
+    col_labels = ("omega1", "omega2")
 
-    def __post_init__(self):
+    def __new__(cls, amplitudes):
         try:
-            amps = tuple(tuple(complex(a) for a in row) for row in self.amplitudes)
+            amps = tuple(tuple(complex(a) for a in row) for row in amplitudes)
         except TypeError:  # a row or an entry that is not a number
             raise ValueError("amplitude matrix must be 2x2") from None
         if len(amps) != 2 or any(len(row) != 2 for row in amps):
             raise ValueError("amplitude matrix must be 2x2")
-        object.__setattr__(self, "amplitudes", amps)
         norm = sum(abs(a) ** 2 for row in amps for a in row)
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: sum |M|^2 = {norm!r}")
+        return super().__new__(cls, amps)
 
 
-@dataclass(frozen=True)
-class EntanglementReport:
+class EntanglementReport(NamedTuple):
     delta: float                  # entangling phase [rad]
     concurrence: float            # in [0, 1]
     schmidt: tuple[float, float]  # descending; squares sum to 1

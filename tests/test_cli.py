@@ -137,12 +137,13 @@ def test_golden_outputs_are_bit_identical(capsys):
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 import qsagnac
-print(json.dumps(["import qsagnac", "numpy" in sys.modules]))
+loaded = lambda: ["numpy" in sys.modules, "dataclasses" in sys.modules]
+print(json.dumps(["import qsagnac", *loaded()]))
 from qsagnac.cli import main
 for name, argv in json.load(sys.stdin):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    print(json.dumps([name, code, "numpy" in sys.modules]))
+    print(json.dumps([name, code, *loaded()]))
 """
 
 
@@ -159,8 +160,12 @@ def test_only_the_metric_imports_numpy():
         capture_output=True, text=True, env=env, check=True,
     )
     lines = [json.loads(line) for line in probe.stdout.splitlines()]
-    assert lines[0] == ["import qsagnac", False]
-    assert lines[1:] == [[name, 0, name == "metric.json"] for name in names]
+    assert lines[0] == ["import qsagnac", False, False]
+    assert [line[:3] for line in lines[1:]] == [
+        [name, 0, name == "metric.json"] for name in names
+    ]
+    # the result types are named tuples, so nothing before numpy loads dataclasses
+    assert not any(line[3] for line in lines[1:-1])
 
 
 def test_json_outputs_reparse_to_the_same_text(capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qsagnac import RegimeStatus, UnitSystem, constants_for, regime_check
+from qsagnac import ConstantSet, RegimeStatus, UnitSystem, constants_for, regime_check
 
 NATURAL = constants_for(UnitSystem.NATURAL)
 SI = constants_for(UnitSystem.SI)
@@ -41,6 +41,24 @@ def test_constants_for_is_pure():
         a = constants_for(units)
         b = constants_for(units)
         assert a == b
+
+
+def test_constants_for_refuses_anything_but_a_unit_system():
+    # the value string is not a member: it used to get the natural table
+    for units in ("si", "natural", None):
+        with pytest.raises(ValueError, match="unit system"):
+            constants_for(units)
+
+
+def test_constant_set_refusals():
+    fields = dict(hbar=1.0, c=1.0, m_e=1.0, a0=137.0, alpha=0.0073)
+    for name in fields:
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="strictly positive"):
+                ConstantSet(**{**fields, name: bad})
+    for alpha in (1.0, 2.0):
+        with pytest.raises(ValueError, match="below 1"):
+            ConstantSet(**{**fields, "alpha": alpha})
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from helpers import (
 from qsagnac import (
     InterferometerConfig,
     PureState2x2,
+    SweepSpec,
     UnitSystem,
     assemble_full_state,
     concurrence_from_delta,
@@ -216,6 +217,29 @@ def test_config_validation():
                 [1.0, 1.0, 2.0, 0.01, math.nan]):
         with pytest.raises(ValueError):
             InterferometerConfig(*bad, UnitSystem.NATURAL)
+    # a unit string is not a unit system; it used to be checked against c = 1
+    with pytest.raises(ValueError, match="unit system"):
+        InterferometerConfig(1e-21, 0.01, 0.011, 1e3, 999.0, units="si")
+
+
+@pytest.mark.parametrize(
+    "record,bad",
+    [
+        (NATURAL, {"alpha": 1.0}),
+        (WORKED, {"m": -1.0}),
+        (state_with_delta(math.pi), {"amplitudes": [[1, 0], [0, 1]]}),
+        (SweepSpec(varying="r2", start=1.0, stop=2.0, count=3, base=WORKED),
+         {"count": 0}),
+    ],
+    ids=["ConstantSet", "InterferometerConfig", "PureState2x2", "SweepSpec"],
+)
+def test_replace_and_make_validate(record, bad):
+    # NamedTuple's own _make and _replace build the tuple without __new__
+    assert type(record._replace()) is type(record)
+    with pytest.raises(ValueError):
+        record._replace(**bad)
+    with pytest.raises(ValueError):
+        type(record)._make({**record._asdict(), **bad}.values())
 
 
 def test_states_are_normalized():

@@ -17,8 +17,8 @@ relation a0 = hbar / (m_e c alpha) in both systems.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 
 class UnitSystem(Enum):
@@ -36,21 +36,22 @@ class _Checked:
         return cls(*iterable)
 
 
-class _Constants(NamedTuple):
-    hbar: float   # reduced Planck constant [J s]
-    c: float      # speed of light [m/s]
-    m_e: float    # electron mass [kg]
-    a0: float     # Bohr radius [m]
-    alpha: float  # fine-structure constant (dimensionless)
+class ConstantSet(_Checked, namedtuple("ConstantSet", "hbar c m_e a0 alpha")):
+    """One constant table:
 
+        hbar   reduced Planck constant [J s]
+        c      speed of light [m/s]
+        m_e    electron mass [kg]
+        a0     Bohr radius [m]
+        alpha  fine-structure constant (dimensionless)
+    """
 
-class ConstantSet(_Checked, _Constants):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if min(self) <= 0.0:
-            raise ValueError("physical constants must be strictly positive")
+        if not all(0.0 < x < math.inf for x in self):  # also refuses nan
+            raise ValueError("physical constants must be finite and strictly positive")
         if self.alpha >= 1.0:
             raise ValueError("fine-structure constant must be below 1")
         return self
@@ -84,9 +85,9 @@ class RegimeStatus(Enum):
     ERROR = "error"
 
 
-class RegimeCheck(NamedTuple):
-    beta: float          # rim speed as a fraction of c: |omega| r / c
-    status: RegimeStatus
+# beta    rim speed as a fraction of c: |omega| r / c
+# status  a RegimeStatus
+RegimeCheck = namedtuple("RegimeCheck", "beta status")
 
 
 # h00 = beta^2, so beta = 0.1 keeps the perturbation at or below 1%;

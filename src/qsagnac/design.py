@@ -9,7 +9,8 @@ landscape around those solutions.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+import operator
+from collections import namedtuple
 
 from .constants import (
     ConstantSet,
@@ -30,21 +31,20 @@ VARY_CHOICES = ("omega2", "r2", "mass")
 MAX_SWEEP_ROWS = 10**6  # a sweep is held in memory whole, so --count is bounded
 
 
-class _Spec(NamedTuple):
-    varying: str  # one of VARY_CHOICES
-    start: float
-    stop: float
-    count: int
-    base: InterferometerConfig
+class SweepSpec(_Checked, namedtuple("SweepSpec", "varying start stop count base")):
+    """`count` points of `varying` (one of VARY_CHOICES) from `start` to
+    `stop`, every other parameter taken from the InterferometerConfig `base`."""
 
-
-class SweepSpec(_Checked, _Spec):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.varying not in VARY_CHOICES:
             raise ValueError(f"varying must be one of {VARY_CHOICES}")
+        try:
+            operator.index(self.count)
+        except TypeError:
+            raise ValueError(f"count must be an integer, not {self.count!r}") from None
         if not 1 <= self.count <= MAX_SWEEP_ROWS:
             raise ValueError(f"count must be between 1 and {MAX_SWEEP_ROWS}")
         if self.start > self.stop:
@@ -55,12 +55,9 @@ class SweepSpec(_Checked, _Spec):
         return self
 
 
-class SweepRow(NamedTuple):
-    value: float
-    delta: float
-    concurrence: float
-    entropy_bits: float
-    regime: RegimeStatus
+# value   the swept parameter at this point
+# regime  a RegimeStatus
+SweepRow = namedtuple("SweepRow", "value delta concurrence entropy_bits regime")
 
 
 def _require_maximal(delta: float) -> None:

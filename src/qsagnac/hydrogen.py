@@ -10,22 +10,21 @@ m_e omega A / hbar equal pi n exactly, order one already at n = 1.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .constants import ConstantSet, UnitSystem, constants_for
 from .state import EntanglementReport, report_from_parameters
 
 
-class BohrOrbit(NamedTuple):
-    n: int        # principal quantum number
-    r: float      # n^2 a0
-    omega: float  # alpha c / (n^3 a0)
-    area: float   # pi r^2
+# n      principal quantum number
+# r      n^2 a0
+# omega  alpha c / (n^3 a0)
+# area   pi r^2
+BohrOrbit = namedtuple("BohrOrbit", "n r omega area")
 
-
-class HydrogenPhases(NamedTuple):
-    estimate: float    # m_e omega A / hbar; equals pi n on a Bohr orbit
-    loop_phase: float  # (2 m_e / hbar) omega A from the loop-phase law; 2x estimate
+# estimate    m_e omega A / hbar; equals pi n on a Bohr orbit
+# loop_phase  (2 m_e / hbar) omega A from the loop-phase law; 2x estimate
+HydrogenPhases = namedtuple("HydrogenPhases", "estimate loop_phase")
 
 
 def _require_si(consts: ConstantSet) -> None:

@@ -9,26 +9,22 @@ h00 = omega^2 r^2 / c^2.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .constants import ConstantSet, require_linear_regime
 
+# g  4x4 numpy array of components in coordinate order (t, r, phi, z)
+# c  light speed used to build the components
+DiskMetric = namedtuple("DiskMetric", "g omega r c")
 
-class DiskMetric(NamedTuple):
-    g: np.ndarray  # 4x4 components in coordinate order (t, r, phi, z)
-    omega: float
-    r: float
-    c: float       # light speed used to build the components
-
-
-class Perturbation(NamedTuple):
-    h00: float        # omega^2 r^2 / c^2
-    h0phi: float      # omega r^2 / c
-    full: np.ndarray  # g minus the flat cylindrical background
+# h00    omega^2 r^2 / c^2
+# h0phi  omega r^2 / c
+# full   4x4 numpy array: g minus the flat cylindrical background
+Perturbation = namedtuple("Perturbation", "h00 h0phi full")
 
 
-def flat_background(r: float) -> np.ndarray:
-    """Cylindrical Minkowski metric diag(-1, 1, r^2, 1)."""
+def flat_background(r: float):
+    """Cylindrical Minkowski metric diag(-1, 1, r^2, 1) as a 4x4 numpy array."""
     import numpy as np  # imported here, so no other code path loads numpy
 
     return np.diag([-1.0, 1.0, r * r, 1.0])

@@ -13,17 +13,15 @@ time 2 pi / |omega|.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
-from .constants import ConstantSet, RegimeCheck, require_valid_config
+from .constants import ConstantSet, require_valid_config
 
-
-class PhaseResult(NamedTuple):
-    phi: float             # loop phase [rad], same sign as omega
-    t_loop: float | None   # 2 pi / |omega|; None when omega == 0
-    area: float            # pi r^2
-    h00: float
-    regime: RegimeCheck
+# phi     loop phase [rad], same sign as omega
+# t_loop  2 pi / |omega|; None when omega == 0
+# area    pi r^2
+# regime  a RegimeCheck
+PhaseResult = namedtuple("PhaseResult", "phi t_loop area h00 regime")
 
 
 def loop_time(omega: float) -> float:

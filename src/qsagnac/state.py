@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .constants import (
     ConstantSet,
@@ -44,16 +44,14 @@ def _require_resolved_phase(x: float) -> None:
         raise ValueError(f"phase {x:.6g} rad is past double resolution")
 
 
-class _Config(NamedTuple):
-    m: float
-    r1: float
-    r2: float
-    omega1: float
-    omega2: float
-    units: UnitSystem = UnitSystem.SI
-
-
-class InterferometerConfig(_Checked, _Config):
+class InterferometerConfig(
+    _Checked,
+    namedtuple(
+        "InterferometerConfig",
+        "m r1 r2 omega1 omega2 units",
+        defaults=(UnitSystem.SI,),
+    ),
+):
     """Full experiment description: mass, two radii, two spin frequencies."""
 
     __slots__ = ()
@@ -68,11 +66,7 @@ class InterferometerConfig(_Checked, _Config):
         return constants_for(self.units)
 
 
-class _Amplitudes(NamedTuple):
-    amplitudes: tuple[tuple[complex, complex], tuple[complex, complex]]
-
-
-class PureState2x2(_Checked, _Amplitudes):
+class PureState2x2(_Checked, namedtuple("PureState2x2", "amplitudes")):
     """Normalized amplitudes over the {r1, r2} x {omega1, omega2} basis.
 
     Any 2x2 nesting of numbers, an array included, is stored as two rows of
@@ -91,17 +85,18 @@ class PureState2x2(_Checked, _Amplitudes):
         if len(amps) != 2 or any(len(row) != 2 for row in amps):
             raise ValueError("amplitude matrix must be 2x2")
         norm = sum(abs(a) ** 2 for row in amps for a in row)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a nan norm
             raise ValueError(f"state is not normalized: sum |M|^2 = {norm!r}")
         return super().__new__(cls, amps)
 
 
-class EntanglementReport(NamedTuple):
-    delta: float                  # entangling phase [rad]
-    concurrence: float            # in [0, 1]
-    schmidt: tuple[float, float]  # descending; squares sum to 1
-    entropy_bits: float           # in [0, 1]
-    maximal: bool
+# delta         entangling phase [rad]
+# concurrence   in [0, 1]
+# schmidt       two floats, descending; squares sum to 1
+# entropy_bits  in [0, 1]
+EntanglementReport = namedtuple(
+    "EntanglementReport", "delta concurrence schmidt entropy_bits maximal"
+)
 
 
 def assemble_full_state(cfg: InterferometerConfig) -> PureState2x2:

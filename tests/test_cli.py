@@ -168,6 +168,19 @@ def test_only_the_metric_imports_numpy():
     assert not any(line[3] for line in lines[1:-1])
 
 
+def test_bare_import_loads_no_typing():
+    # -S, because site may preload typing and hide an import of it
+    src = str(Path(qsagnac.__file__).parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, qsagnac.cli; "
+         "print(*sorted({'typing', 'dataclasses', 'numpy'} & sys.modules.keys()))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert probe.stdout == "\n"
+
+
 def test_json_outputs_reparse_to_the_same_text(capsys):
     invocations = [
         ["constants", "--units", "natural"],

@@ -53,7 +53,7 @@ def test_constants_for_refuses_anything_but_a_unit_system():
 def test_constant_set_refusals():
     fields = dict(hbar=1.0, c=1.0, m_e=1.0, a0=137.0, alpha=0.0073)
     for name in fields:
-        for bad in (0.0, -1.0):
+        for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="strictly positive"):
                 ConstantSet(**{**fields, name: bad})
     for alpha in (1.0, 2.0):

@@ -193,5 +193,8 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="count"):
         SweepSpec(varying="omega2", start=0.0, stop=1.0, count=MAX_SWEEP_ROWS + 1,
                   base=BASE)
+    for count in (2.5, 3.0):  # range() would raise TypeError in sweep
+        with pytest.raises(ValueError, match="count"):
+            SweepSpec(varying="omega2", start=0.0, stop=1.0, count=count, base=BASE)
     with pytest.raises(ValueError, match="span"):  # stop - start overflows
         SweepSpec(varying="omega2", start=-1e308, stop=1e308, count=3, base=BASE)

@@ -195,6 +195,8 @@ def test_unnormalized_states_are_rejected():
         PureState2x2(0.4 * np.ones((2, 2)))
     with pytest.raises(ValueError):
         PureState2x2(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="normalized"):  # a nan norm
+        PureState2x2([[math.nan, 0.5], [0.5, 0.5]])
     # normalized, but not 2x2
     for amps in (np.full(4, 0.5), [[0.5, 0.5, 0.5], [0.5]]):
         with pytest.raises(ValueError, match="2x2"):

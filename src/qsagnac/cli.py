@@ -226,14 +226,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="print the pinned constant table")
+    p.set_defaults(run=cmd_constants)
     _add_units(p)
 
     p = sub.add_parser("metric", help="rotating-disk metric and perturbation")
+    p.set_defaults(run=cmd_metric)
     p.add_argument("--omega", type=_finite, required=True)
     p.add_argument("--r", type=_finite, required=True)
     _add_units(p)
 
     p = sub.add_parser("phase", help="loop phase at one radius (optionally two)")
+    p.set_defaults(run=cmd_phase)
     p.add_argument("--m", type=_finite, required=True)
     p.add_argument("--omega", type=_finite, required=True)
     p.add_argument("--r", type=_finite, required=True)
@@ -241,12 +244,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_units(p)
 
     p = sub.add_parser("state", help="assembled four-branch state amplitudes")
+    p.set_defaults(run=cmd_state)
     _add_config_flags(p)
 
     p = sub.add_parser("entangle", help="entanglement report for a configuration")
+    p.set_defaults(run=cmd_entangle)
     _add_config_flags(p)
 
     p = sub.add_parser("solve", help="closed-form maximal-entanglement parameter")
+    p.set_defaults(run=cmd_solve)
     p.add_argument("--target", choices=["omega2", "r2"], required=True)
     p.add_argument("--m", type=_finite, required=True)
     p.add_argument("--r1", type=_finite, required=True)
@@ -257,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_units(p)
 
     p = sub.add_parser("sweep", help="one-dimensional entanglement landscape")
+    p.set_defaults(run=cmd_sweep)
     p.add_argument("--vary", choices=VARY_CHOICES, required=True)
     p.add_argument("--start", type=_finite, required=True)
     p.add_argument("--stop", type=_finite, required=True)
@@ -265,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
 
     p = sub.add_parser("hydrogen", help="Bohr-orbit phases and pair entanglement")
+    p.set_defaults(run=cmd_hydrogen)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int)
     group.add_argument("--pair", type=_pair)
@@ -274,29 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(args) -> str | None:
     if args.command == "solve":
-        if args.target == "omega2":
-            if args.r2 is None:
-                return "solve --target omega2 requires --r2"
-            if args.omega2 is not None:
-                return "--omega2 is the unknown when solving for omega2"
-        else:
-            if args.omega2 is None:
-                return "solve --target r2 requires --omega2"
-            if args.r2 is not None:
-                return "--r2 is the unknown when solving for r2"
+        target = args.target
+        given = "r2" if target == "omega2" else "omega2"
+        if getattr(args, given) is None:
+            return f"solve --target {target} requires --{given}"
+        if getattr(args, target) is not None:
+            return f"--{target} is the unknown when solving for {target}"
     return None
-
-
-_DISPATCH = {
-    "constants": cmd_constants,
-    "metric": cmd_metric,
-    "phase": cmd_phase,
-    "state": cmd_state,
-    "entangle": cmd_entangle,
-    "solve": cmd_solve,
-    "sweep": cmd_sweep,
-    "hydrogen": cmd_hydrogen,
-}
 
 
 def main(argv=None) -> int:
@@ -310,7 +302,7 @@ def main(argv=None) -> int:
         print(f"usage error: {message}", file=sys.stderr)
         return 2
     try:
-        output = _DISPATCH[args.command](args)
+        output = args.run(args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -131,12 +131,12 @@ def require_valid_config(
     m: float, r1: float, r2: float, omega1: float, omega2: float, consts: ConstantSet
 ) -> RegimeCheck:
     """Raise ValueError unless the parameters form a valid configuration:
-    positive mass, non-negative radii, every branch rim below light speed.
+    positive finite mass, non-negative radii, every branch rim below light speed.
 
     Returns the regime of the fastest rim. A nan anywhere is refused.
     """
-    if not m > 0:
-        raise ValueError("mass must be positive")
+    if not 0 < m < math.inf:  # also refuses a nan mass
+        raise ValueError("mass must be positive and finite")
     if not (r1 >= 0 and r2 >= 0):
         raise ValueError("radii must be non-negative")
     # max() below would drop a nan omega2, so test both frequencies here

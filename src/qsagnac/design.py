@@ -12,13 +12,7 @@ import math
 import operator
 from collections import namedtuple
 
-from .constants import (
-    ConstantSet,
-    RegimeStatus,
-    _Checked,
-    regime_check,
-    require_valid_config,
-)
+from .constants import ConstantSet, RegimeStatus, _Checked, require_valid_config
 from .state import (
     MAXIMAL_TOL,
     InterferometerConfig,
@@ -27,7 +21,9 @@ from .state import (
     entropy_from_concurrence,
 )
 
-VARY_CHOICES = ("omega2", "r2", "mass")
+# each --vary name and the position of its number in (m, r1, r2, omega1, omega2)
+_VARY_POSITIONS = {"omega2": 4, "r2": 2, "mass": 0}
+VARY_CHOICES = tuple(_VARY_POSITIONS)
 MAX_SWEEP_ROWS = 10**6  # a sweep is held in memory whole, so --count is bounded
 
 
@@ -36,11 +32,16 @@ class SweepSpec(_Checked, namedtuple("SweepSpec", "varying start stop count base
     `stop`, every other parameter taken from the InterferometerConfig `base`."""
 
     __slots__ = ()
+    # bound here, so the check holds where the module name is rebound to a
+    # wrapper function (perfbench's tracer wraps the constructor)
+    _base_type = InterferometerConfig
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.varying not in VARY_CHOICES:
             raise ValueError(f"varying must be one of {VARY_CHOICES}")
+        if not isinstance(self.base, cls._base_type):
+            raise ValueError("base must be an InterferometerConfig")
         try:
             operator.index(self.count)
         except TypeError:
@@ -60,10 +61,14 @@ class SweepSpec(_Checked, namedtuple("SweepSpec", "varying start stop count base
 SweepRow = namedtuple("SweepRow", "value delta concurrence entropy_bits regime")
 
 
-def _require_maximal(delta: float) -> None:
-    # A solution past double resolution (omega1 - omega2 or r1^2 - r2^2 lost
-    # to rounding) misses (2k+1) pi; refuse it rather than return it.
-    c = concurrence_from_delta(delta)
+def _require_solution(
+    m: float, r1: float, r2: float, omega1: float, omega2: float, consts: ConstantSet
+) -> None:
+    # A solver answer must form a valid configuration. One past double
+    # resolution (omega1 - omega2 or r1^2 - r2^2 lost to rounding) misses
+    # (2k+1) pi; refuse it rather than return it.
+    require_valid_config(m, r1, r2, omega1, omega2, consts)
+    c = concurrence_from_delta(entangling_phase_value(m, r1, r2, omega1, omega2, consts))
     if not 1.0 - c <= MAXIMAL_TOL:  # also refuses a nan delta
         raise ValueError(
             f"solution not resolvable in double precision: concurrence {c:.9g}"
@@ -92,8 +97,7 @@ def solve_omega2(
     if denominator == 0:
         raise ValueError("no solution: 2 m (A1 - A2) is zero")
     omega2 = omega1 - _odd(k) * math.pi * consts.hbar / denominator
-    require_valid_config(m, r1, r2, omega1, omega2, consts)
-    _require_maximal(entangling_phase_value(m, r1, r2, omega1, omega2, consts))
+    _require_solution(m, r1, r2, omega1, omega2, consts)
     return omega2
 
 
@@ -113,37 +117,8 @@ def solve_r2(
     if radicand < 0:
         raise ValueError("no real radius for this k")
     r2 = math.sqrt(radicand)
-    require_valid_config(m, r1, r2, omega1, omega2, consts)
-    _require_maximal(entangling_phase_value(m, r1, r2, omega1, omega2, consts))
+    _require_solution(m, r1, r2, omega1, omega2, consts)
     return r2
-
-
-def _row(spec: SweepSpec, value: float) -> SweepRow:
-    base = spec.base
-    m, r1, r2 = base.m, base.r1, base.r2
-    omega1, omega2 = base.omega1, base.omega2
-    if spec.varying == "omega2":
-        omega2 = value
-    elif spec.varying == "r2":
-        r2 = value
-    else:
-        m = value
-    consts = base.constants
-    # Points that no longer form a valid configuration are kept in the
-    # output but marked ERROR rather than dropped.
-    if m > 0 and r1 >= 0 and r2 >= 0:
-        status = regime_check(
-            max(abs(omega1), abs(omega2)), max(r1, r2), consts
-        ).status
-    else:
-        status = RegimeStatus.ERROR
-    delta = entangling_phase_value(m, r1, r2, omega1, omega2, consts)
-    if not math.isfinite(delta):  # no row can carry it, so the sweep is refused
-        raise ValueError(
-            f"delta = {delta} is not finite at {spec.varying} = {value:g}"
-        )
-    conc = concurrence_from_delta(delta)
-    return SweepRow(value, delta, conc, entropy_from_concurrence(conc), status)
 
 
 def _grid(start: float, stop: float, count: int) -> list[float]:
@@ -163,5 +138,25 @@ def _grid(start: float, stop: float, count: int) -> list[float]:
 
 
 def sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate `count` evenly spaced points, endpoints included, ascending."""
-    return [_row(spec, v) for v in _grid(spec.start, spec.stop, spec.count)]
+    """Evaluate `count` evenly spaced points, endpoints included, ascending.
+
+    Points that no longer form a valid configuration are kept, marked ERROR.
+    """
+    numbers = list(spec.base[:5])  # m, r1, r2, omega1, omega2
+    position = _VARY_POSITIONS[spec.varying]
+    consts = spec.base.constants
+    rows = []
+    for value in _grid(spec.start, spec.stop, spec.count):
+        numbers[position] = value
+        try:
+            status = require_valid_config(*numbers, consts).status
+        except ValueError:
+            status = RegimeStatus.ERROR
+        delta = entangling_phase_value(*numbers, consts)
+        if not math.isfinite(delta):  # no row can carry it, so the sweep is refused
+            raise ValueError(
+                f"delta = {delta} is not finite at {spec.varying} = {value:g}"
+            )
+        conc = concurrence_from_delta(delta)
+        rows.append(SweepRow(value, delta, conc, entropy_from_concurrence(conc), status))
+    return rows

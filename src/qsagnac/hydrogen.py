@@ -10,6 +10,7 @@ m_e omega A / hbar equal pi n exactly, order one already at n = 1.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 
 from .constants import ConstantSet, UnitSystem, constants_for
@@ -34,8 +35,12 @@ def _require_si(consts: ConstantSet) -> None:
 
 
 def bohr_orbit(n: int, consts: ConstantSet) -> BohrOrbit:
-    """Circular Bohr orbit for principal quantum number n >= 1."""
+    """Circular Bohr orbit for integer principal quantum number n >= 1."""
     _require_si(consts)
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"quantum number must be an integer, not {n!r}") from None
     if n < 1:
         raise ValueError("principal quantum number must be at least 1")
     try:

@@ -36,10 +36,9 @@ def rotating_disk_metric(omega: float, r: float, consts: ConstantSet) -> DiskMet
     Rejects negative radii, rim speeds at or above c, and radii whose
     square overflows a double.
     """
-    require_linear_regime(omega, r, consts)
+    beta = require_linear_regime(omega, r, consts).beta
     g = flat_background(r)
-    rim = omega * r / consts.c
-    g[0, 0] = -1.0 + rim * rim
+    g[0, 0] = -1.0 + beta * beta
     g[0, 2] = g[2, 0] = omega * r * r / consts.c
     return DiskMetric(g=g, omega=float(omega), r=float(r), c=consts.c)
 

@@ -132,6 +132,13 @@ def test_golden_outputs_are_bit_identical(capsys):
         assert first == golden
 
 
+def package_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(qsagnac.__file__).parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 # Runs each invocation in one fresh interpreter and prints, after each,
 # whether numpy has been imported so far.
 NUMPY_PROBE = """
@@ -151,13 +158,10 @@ def test_only_the_metric_imports_numpy():
     # metric runs last, so every other subcommand is seen in a process
     # where numpy has not been imported by anything else
     names = sorted(GOLDEN_INVOCATIONS, key=lambda name: name == "metric.json")
-    src = str(Path(qsagnac.__file__).parents[1])
-    path = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     probe = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE],
         input=json.dumps([[name, GOLDEN_INVOCATIONS[name]] for name in names]),
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=package_env(), check=True,
     )
     lines = [json.loads(line) for line in probe.stdout.splitlines()]
     assert lines[0] == ["import qsagnac", False, False]
@@ -339,6 +343,45 @@ def test_argument_errors_exit_2(capsys):
         assert code == 2, argv
         assert out == ""
         assert err != ""
+
+
+def test_solve_target_usage_messages(capsys):
+    common = ["--units", "natural", "--m", "1000", "--r1", "1", "--omega1", "0.01",
+              "--k", "0"]
+    cases = [
+        (["--target", "omega2"], "solve --target omega2 requires --r2"),
+        (["--target", "omega2", "--r2", "2", "--omega2", "0.02"],
+         "--omega2 is the unknown when solving for omega2"),
+        (["--target", "r2"], "solve --target r2 requires --omega2"),
+        (["--target", "r2", "--r2", "2", "--omega2", "0.02"],
+         "--r2 is the unknown when solving for r2"),
+    ]
+    for extra, message in cases:
+        assert run(capsys, "solve", *extra, *common) == (
+            2, "", f"usage error: {message}\n"
+        )
+
+
+ENTRY_POINT = "import sys; from qsagnac.cli import main; sys.exit(main())"
+
+
+def test_console_script_entry_point():
+    # the form of the installed console script: argv from sys.argv, the
+    # exit code through sys.exit
+
+    def script(*argv):
+        return subprocess.run([sys.executable, "-c", ENTRY_POINT, *argv],
+                              capture_output=True, text=True, env=package_env())
+
+    done = script(*GOLDEN_INVOCATIONS["entangle.json"])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (GOLDEN_DIR / "entangle.json").read_text()
+    done = script("hydrogen", "--pair", "2,2")  # a domain error
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    done = script("phase", "--m", "abc", "--omega", "0.1", "--r", "1")  # bad argument
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "usage: qsagnac" in done.stderr
 
 
 @pytest.mark.filterwarnings("error")  # a leaked numpy RuntimeWarning fails

@@ -198,3 +198,6 @@ def test_spec_validation():
             SweepSpec(varying="omega2", start=0.0, stop=1.0, count=count, base=BASE)
     with pytest.raises(ValueError, match="span"):  # stop - start overflows
         SweepSpec(varying="omega2", start=-1e308, stop=1e308, count=3, base=BASE)
+    # a plain tuple of the same values is not a checked configuration
+    with pytest.raises(ValueError, match="base"):
+        SweepSpec(varying="omega2", start=0.0, stop=1.0, count=3, base=tuple(BASE))

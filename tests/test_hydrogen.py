@@ -116,3 +116,10 @@ def test_invalid_inputs():
         bohr_orbit(10**400, SI)
     with pytest.raises(ValueError):
         hydrogen_pair_report(1, 10**400, SI)
+    # a Bohr orbit needs an integer n; a float is refused even when integral
+    for n in (2.5, 3.0):
+        for call in (lambda: bohr_orbit(n, SI), lambda: hydrogen_phase(n, SI),
+                     lambda: hydrogen_pair_report(1, n, SI),
+                     lambda: hydrogen_pair_report(n, 1, SI)):
+            with pytest.raises(ValueError, match="integer"):
+                call()

@@ -131,6 +131,9 @@ def test_invalid_inputs_rejected():
     # a nan in any argument is refused, not returned as a nan phase
     with pytest.raises(ValueError):
         sagnac_phase(math.nan, 0.1, 1.0, NATURAL)
+    # an infinite mass is refused, not returned as phi = inf
+    with pytest.raises(ValueError, match="mass"):
+        sagnac_phase(math.inf, 0.1, 1.0, NATURAL)
     with pytest.raises(ValueError):
         sagnac_phase(1.0, math.nan, 1.0, NATURAL)
     with pytest.raises(ValueError):

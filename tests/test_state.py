@@ -214,7 +214,9 @@ def test_config_validation():
         # rim speed 1.5c at (omega2, r2)
         InterferometerConfig(m=1.0, r1=1.0, r2=1.5, omega1=0.01, omega2=1.0,
                              units=UnitSystem.NATURAL)
-    for bad in ([math.nan, 1.0, 2.0, 0.01, 0.02], [1.0, math.nan, 2.0, 0.01, 0.02],
+    # an infinite mass is refused, like a nan one
+    for bad in ([math.inf, 1.0, 2.0, 0.01, 0.02],
+                [math.nan, 1.0, 2.0, 0.01, 0.02], [1.0, math.nan, 2.0, 0.01, 0.02],
                 [1.0, 1.0, math.nan, 0.01, 0.02], [1.0, 1.0, 2.0, math.nan, 0.02],
                 [1.0, 1.0, 2.0, 0.01, math.nan]):
         with pytest.raises(ValueError):

@@ -13,8 +13,15 @@ import math
 import sys
 from enum import Enum
 
-from .constants import UnitSystem, constants_for, regime_check
-from .design import VARY_CHOICES, SweepSpec, solve_omega2, solve_r2, sweep
+from .constants import RegimeStatus, UnitSystem, constants_for, regime_check
+from .design import (
+    VARY_CHOICES,
+    SweepSpec,
+    _sweep_values,
+    solve_omega2,
+    solve_r2,
+    sweep,
+)
 from .hydrogen import bohr_orbit, hydrogen_pair_report, hydrogen_phase
 from .metric import perturbation, rotating_disk_metric
 from .phase import sagnac_phase, two_radius_relative_phase
@@ -181,15 +188,21 @@ def cmd_solve(args) -> str:
     )
 
 
+# a dict read, where status.value would go through Enum's property
+_REGIME_TEXT = {status: status.value for status in RegimeStatus}
+
+
 def cmd_sweep(args) -> str:
     spec = SweepSpec(args.vary, args.start, args.stop, args.count, _config(args))
-    rows = sweep(spec)
-    if args.format == "csv":
-        lines = ["value,delta,concurrence,entropy_bits,regime"]
-        for row in rows:  # the four numbers, then the regime
-            lines.append(",".join([*map(format_float, row[:4]), row.regime.value]))
-        return "\n".join(lines)
-    return to_json(rows)
+    if args.format == "json":
+        return to_json(sweep(spec))
+    lines = ["value,delta,concurrence,entropy_bits,regime"]
+    lines += [
+        f"{format_float(value)},{format_float(delta)},{format_float(conc)},"
+        f"{format_float(entropy)},{_REGIME_TEXT[regime]}"
+        for value, delta, conc, entropy, regime in _sweep_values(spec)
+    ]
+    return "\n".join(lines)
 
 
 def cmd_hydrogen(args) -> str:

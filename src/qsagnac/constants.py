@@ -95,6 +95,23 @@ RegimeCheck = namedtuple("RegimeCheck", "beta status")
 WARN_BETA = 0.1
 ERROR_BETA = 1.0
 
+# bound once: reading a member off an Enum class goes through EnumType's
+# __getattr__ hook, about ten times the cost of reading a global
+_OK, _WARN, _ERROR = RegimeStatus.OK, RegimeStatus.WARN, RegimeStatus.ERROR
+
+
+def _rim(omega: float, r: float, c: float) -> tuple[float, RegimeStatus]:
+    # (beta, status) of a rim of radius r spun at omega: the one place the
+    # rim speed is computed and compared with WARN_BETA and ERROR_BETA
+    if not r >= 0:  # also refuses a nan radius
+        raise ValueError("radius must be non-negative")
+    beta = abs(omega) * r / c
+    if not beta < ERROR_BETA:
+        return beta, _ERROR
+    if beta > WARN_BETA:
+        return beta, _WARN
+    return beta, _OK
+
 
 def regime_check(omega: float, r: float, consts: ConstantSet) -> RegimeCheck:
     """Classify how far (omega, r) sits from the flat-background regime.
@@ -102,29 +119,41 @@ def regime_check(omega: float, r: float, consts: ConstantSet) -> RegimeCheck:
     beta <= 0.1 is Ok, 0.1 < beta < 1 is Warn (computation proceeds),
     beta >= 1 is Error, and so is a nan beta.
     """
-    if not r >= 0:  # also refuses a nan radius
-        raise ValueError("radius must be non-negative")
-    beta = abs(omega) * r / consts.c
-    if not beta < ERROR_BETA:
-        status = RegimeStatus.ERROR
-    elif beta > WARN_BETA:
-        status = RegimeStatus.WARN
-    else:
-        status = RegimeStatus.OK
-    return RegimeCheck(beta=beta, status=status)
+    return RegimeCheck._make(_rim(omega, r, consts.c))
+
+
+def _linear_rim(omega: float, r: float, c: float) -> tuple[float, RegimeStatus]:
+    beta, status = _rim(omega, r, c)
+    if status is _ERROR:
+        raise ValueError(f"rim speed beta = {beta:g} is outside the linear regime")
+    if math.isinf(r * r):
+        raise ValueError(f"radius {r:g} is too large: r^2 overflows a double")
+    return beta, status
 
 
 def require_linear_regime(omega: float, r: float, consts: ConstantSet) -> RegimeCheck:
     """regime_check that raises ValueError when the status is Error or when
     r^2, which every area and metric component carries, overflows a double."""
-    check = regime_check(omega, r, consts)
-    if check.status is RegimeStatus.ERROR:
-        raise ValueError(
-            f"rim speed beta = {check.beta:g} is outside the linear regime"
-        )
-    if math.isinf(r * r):
-        raise ValueError(f"radius {r:g} is too large: r^2 overflows a double")
-    return check
+    return RegimeCheck._make(_linear_rim(omega, r, consts.c))
+
+
+def _require_mass(m: float) -> None:
+    if not 0 < m < math.inf:  # also refuses a nan mass
+        raise ValueError("mass must be positive and finite")
+
+
+def _config_regime(
+    m: float, r1: float, r2: float, omega1: float, omega2: float, c: float
+) -> tuple[float, RegimeStatus]:
+    """require_valid_config on plain numbers and the speed of light c:
+    (beta, status) of the fastest rim."""
+    _require_mass(m)
+    if not (r1 >= 0 and r2 >= 0):
+        raise ValueError("radii must be non-negative")
+    # max() below would drop a nan omega2, so test both frequencies here
+    if math.isnan(omega1) or math.isnan(omega2):
+        raise ValueError("frequencies must be numbers")
+    return _linear_rim(max(abs(omega1), abs(omega2)), max(r1, r2), c)
 
 
 def require_valid_config(
@@ -135,11 +164,4 @@ def require_valid_config(
 
     Returns the regime of the fastest rim. A nan anywhere is refused.
     """
-    if not 0 < m < math.inf:  # also refuses a nan mass
-        raise ValueError("mass must be positive and finite")
-    if not (r1 >= 0 and r2 >= 0):
-        raise ValueError("radii must be non-negative")
-    # max() below would drop a nan omega2, so test both frequencies here
-    if math.isnan(omega1) or math.isnan(omega2):
-        raise ValueError("frequencies must be numbers")
-    return require_linear_regime(max(abs(omega1), abs(omega2)), max(r1, r2), consts)
+    return RegimeCheck._make(_config_regime(m, r1, r2, omega1, omega2, consts.c))

@@ -12,13 +12,19 @@ import math
 import operator
 from collections import namedtuple
 
-from .constants import ConstantSet, RegimeStatus, _Checked, require_valid_config
+from .constants import (
+    ConstantSet,
+    RegimeStatus,
+    _Checked,
+    _config_regime,
+    _require_mass,
+    require_valid_config,
+)
 from .state import (
     MAXIMAL_TOL,
     InterferometerConfig,
     concurrence_from_delta,
     entangling_phase_value,
-    entropy_from_concurrence,
 )
 
 # each --vary name and the position of its number in (m, r1, r2, omega1, omega2)
@@ -90,8 +96,7 @@ def solve_omega2(
 
         omega2 = omega1 - (2k+1) pi hbar / (2 m (A1 - A2))
     """
-    if m <= 0:
-        raise ValueError("mass must be positive")
+    _require_mass(m)
     area_gap = math.pi * ((r1 - r2) * (r1 + r2))  # A1 - A2
     denominator = 2.0 * m * area_gap  # zero for r2 = +-r1 or on underflow
     if denominator == 0:
@@ -108,8 +113,7 @@ def solve_r2(
 
         r2 = sqrt(r1^2 - (2k+1) hbar / (2 m (omega1 - omega2)))
     """
-    if m <= 0:
-        raise ValueError("mass must be positive")
+    _require_mass(m)
     denominator = 2.0 * m * (omega1 - omega2)  # zero if omega2 = omega1 or on underflow
     if denominator == 0:
         raise ValueError("no solution: 2 m (omega1 - omega2) is zero")
@@ -137,26 +141,44 @@ def _grid(start: float, stop: float, count: int) -> list[float]:
     return values
 
 
+def _sweep_values(spec: SweepSpec):
+    """Yield (value, delta, concurrence, entropy_bits, regime) per grid point.
+
+    Each row's regime is the config gate's, ERROR where the gate refuses
+    the row, and delta, concurrence and entropy repeat the operations of
+    entangling_phase_value, concurrence_from_delta and
+    entropy_from_concurrence one for one, so every bit matches them.
+    """
+    numbers = list(spec.base[:5])  # m, r1, r2, omega1, omega2
+    position = _VARY_POSITIONS[spec.varying]
+    consts = spec.base.constants
+    c, hbar, pi = consts.c, consts.hbar, math.pi
+    sin, sqrt, log2, isfinite = math.sin, math.sqrt, math.log2, math.isfinite
+    error = RegimeStatus.ERROR
+    for value in _grid(spec.start, spec.stop, spec.count):
+        numbers[position] = value
+        m, r1, r2, omega1, omega2 = numbers
+        try:
+            regime = _config_regime(m, r1, r2, omega1, omega2, c)[1]
+        except ValueError:
+            regime = error
+        delta = 2.0 * m * (omega1 - omega2) * pi * ((r1 - r2) * (r1 + r2)) / hbar
+        if not isfinite(delta):  # no row can carry it, so the sweep is refused
+            raise ValueError(
+                f"delta = {delta} is not finite at {spec.varying} = {value:g}"
+            )
+        conc = abs(sin(0.5 * delta))
+        gap = sqrt(max(0.0, 1.0 - conc * conc))
+        hi, lo = 0.5 * (1.0 + gap), 0.5 * (1.0 - gap)
+        entropy = 0.0 - hi * log2(hi)  # hi >= 0.5; 0.0 - x turns -0.0 into 0.0
+        if lo > 0.0:
+            entropy -= lo * log2(lo)
+        yield value, delta, conc, entropy, regime
+
+
 def sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate `count` evenly spaced points, endpoints included, ascending.
 
     Points that no longer form a valid configuration are kept, marked ERROR.
     """
-    numbers = list(spec.base[:5])  # m, r1, r2, omega1, omega2
-    position = _VARY_POSITIONS[spec.varying]
-    consts = spec.base.constants
-    rows = []
-    for value in _grid(spec.start, spec.stop, spec.count):
-        numbers[position] = value
-        try:
-            status = require_valid_config(*numbers, consts).status
-        except ValueError:
-            status = RegimeStatus.ERROR
-        delta = entangling_phase_value(*numbers, consts)
-        if not math.isfinite(delta):  # no row can carry it, so the sweep is refused
-            raise ValueError(
-                f"delta = {delta} is not finite at {spec.varying} = {value:g}"
-            )
-        conc = concurrence_from_delta(delta)
-        rows.append(SweepRow(value, delta, conc, entropy_from_concurrence(conc), status))
-    return rows
+    return [SweepRow._make(row) for row in _sweep_values(spec)]

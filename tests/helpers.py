@@ -1,12 +1,21 @@
-"""Helpers shared by the test modules: a random-configuration generator and
+"""Helpers shared by the test modules: a random-configuration generator,
 an SVD/determinant oracle that shares no code with the package's closed
-forms. The oracle works on the amplitudes of a PureState2x2."""
+forms (it works on the amplitudes of a PureState2x2), and a row-by-row
+reference for sweeps."""
 
 import math
 
 import numpy as np
 
-from qsagnac import InterferometerConfig, UnitSystem
+from qsagnac import (
+    InterferometerConfig,
+    RegimeStatus,
+    UnitSystem,
+    concurrence_from_delta,
+    entangling_phase_value,
+    entropy_from_concurrence,
+)
+from qsagnac.constants import require_valid_config
 
 
 def random_config(rng):
@@ -47,3 +56,33 @@ def entanglement_entropy(state):
         if lam > 0.0:
             entropy -= lam * math.log2(lam)
     return entropy
+
+
+# the five numbers of a config, each under its --vary name where it has one
+ROW_NAMES = ("mass", "r1", "r2", "omega1", "omega2")
+
+
+def reference_sweep_rows(spec):
+    """The rows of sweep(spec) as (value, delta, concurrence, entropy_bits,
+    regime), each computed on its own through the public per-config
+    functions and the config gate. Raises ValueError, as sweep does, when a
+    row's delta is not finite."""
+    consts = spec.base.constants
+    numbers = dict(zip(ROW_NAMES, spec.base[:5]))
+    # numpy also computes the last point as div * step, which can overflow
+    # near the largest span before it is overwritten with stop
+    with np.errstate(over="ignore"):
+        grid = np.linspace(spec.start, spec.stop, spec.count).tolist()
+    rows = []
+    for value in grid:
+        numbers[spec.varying] = value
+        try:
+            regime = require_valid_config(*numbers.values(), consts).status
+        except ValueError:
+            regime = RegimeStatus.ERROR
+        delta = entangling_phase_value(*numbers.values(), consts)
+        if not math.isfinite(delta):
+            raise ValueError(f"delta = {delta} is not finite")
+        conc = concurrence_from_delta(delta)
+        rows.append((value, delta, conc, entropy_from_concurrence(conc), regime))
+    return rows

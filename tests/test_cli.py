@@ -51,6 +51,13 @@ GOLDEN_INVOCATIONS = {
         "--count", "5", "--units", "natural", "--m", "1000", "--r1", "1",
         "--r2", "1.41421356237", "--omega1", "0.01", "--omega2", "0.0105",
     ],
+    # integral values (the .0 suffix), error rows at m <= 0, and a delta of
+    # 0.0 and -0.0, because r2 == r1
+    "sweep_edges.csv": [
+        "sweep", "--vary", "mass", "--start=-2", "--stop", "6", "--count", "9",
+        "--format", "csv", "--units", "natural", "--m", "1", "--r1", "1",
+        "--r2", "1", "--omega1", "0.01", "--omega2", "0.02",
+    ],
     "hydrogen_n.json": ["hydrogen", "--n", "3"],
     "hydrogen_pair.json": ["hydrogen", "--pair", "1,2"],
 }
@@ -385,6 +392,20 @@ def test_console_script_entry_point():
 
 
 @pytest.mark.filterwarnings("error")  # a leaked numpy RuntimeWarning fails
+def test_a_bad_mass_is_refused_in_the_same_words_everywhere(capsys):
+    cases = [
+        ["solve", "--target", "omega2", "--units", "natural", "--m", "-1",
+         "--r1", "1", "--r2", "2", "--omega1", "0.01", "--k", "0"],
+        ["solve", "--target", "r2", "--units", "natural", "--m", "0",
+         "--r1", "1", "--omega1", "0.0105", "--omega2", "0.01", "--k", "0"],
+        ["entangle", "--units", "natural", "--m", "-1", "--r1", "1", "--r2", "2",
+         "--omega1", "0.001", "--omega2", "0.002"],
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: mass must be positive and finite\n")
+
+
 def test_domain_errors_exit_1_with_clean_stdout(capsys):
     cases = [
         ["phase", "--units", "natural", "--m", "1", "--omega", "2", "--r", "1"],

@@ -71,6 +71,9 @@ def test_solve_omega2_errors():
         solve_omega2(1.0, -1.0, 1.0, 0.01, 0, NATURAL)
     with pytest.raises(ValueError):
         solve_omega2(1e-300, 1e-100, 2e-100, 0.01, 0, NATURAL)
+    # the config gate's mass rule, before the zero denominator that m = 0 makes
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve_omega2(0.0, 1.0, 2.0, 0.01, 0, NATURAL)
 
 
 def test_solve_r2_worked_example():
@@ -92,6 +95,8 @@ def test_solve_r2_errors():
         solve_r2(1000.0, 1.0, 0.01, 0.02, 10**400, NATURAL)
     with pytest.raises(ValueError):  # 2 m (omega1 - omega2) underflows to zero
         solve_r2(1e-300, 1.0, 1e-30, 0.0, 0, NATURAL)
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve_r2(-1.0, 1.0, 0.01, 0.02, 0, NATURAL)
 
 
 def test_solution_hits_odd_multiples_of_pi():

@@ -391,7 +391,6 @@ def test_console_script_entry_point():
     assert "usage: qsagnac" in done.stderr
 
 
-@pytest.mark.filterwarnings("error")  # a leaked numpy RuntimeWarning fails
 def test_a_bad_mass_is_refused_in_the_same_words_everywhere(capsys):
     cases = [
         ["solve", "--target", "omega2", "--units", "natural", "--m", "-1",
@@ -406,6 +405,7 @@ def test_a_bad_mass_is_refused_in_the_same_words_everywhere(capsys):
         assert (code, out, err) == (1, "", "error: mass must be positive and finite\n")
 
 
+@pytest.mark.filterwarnings("error")  # a leaked numpy RuntimeWarning fails
 def test_domain_errors_exit_1_with_clean_stdout(capsys):
     cases = [
         ["phase", "--units", "natural", "--m", "1", "--omega", "2", "--r", "1"],

@@ -31,6 +31,7 @@ from .metric import (
 )
 from .phase import (
     PhaseResult,
+    entangling_phase_value,
     hamiltonian_energy,
     loop_phase,
     loop_time,
@@ -44,8 +45,6 @@ from .state import (
     assemble_full_state,
     concurrence_from_delta,
     entanglement_report,
-    entangling_phase,
-    entangling_phase_value,
     entropy_from_concurrence,
     report_from_parameters,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "concurrence_from_delta",
     "constants_for",
     "entanglement_report",
-    "entangling_phase",
     "entangling_phase_value",
     "entropy_from_concurrence",
     "flat_background",

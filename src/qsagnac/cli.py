@@ -24,12 +24,11 @@ from .design import (
 )
 from .hydrogen import bohr_orbit, hydrogen_pair_report, hydrogen_phase
 from .metric import perturbation, rotating_disk_metric
-from .phase import sagnac_phase, two_radius_relative_phase
+from .phase import entangling_phase_value, sagnac_phase, two_radius_relative_phase
 from .state import (
     InterferometerConfig,
     assemble_full_state,
     concurrence_from_delta,
-    entangling_phase_value,
     entanglement_report,
 )
 
@@ -109,8 +108,7 @@ def cmd_constants(args) -> str:
 
 def cmd_metric(args) -> str:
     units = UnitSystem(args.units)
-    consts = constants_for(units)
-    metric = rotating_disk_metric(args.omega, args.r, consts)
+    metric = rotating_disk_metric(args.omega, args.r, constants_for(units))
     return to_json(
         {
             "omega": args.omega,
@@ -118,7 +116,7 @@ def cmd_metric(args) -> str:
             "units": units,
             "g": metric.g,
             **perturbation(metric)._asdict(),
-            "regime": regime_check(args.omega, args.r, consts),
+            "regime": metric.regime,
         }
     )
 

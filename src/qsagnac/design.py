@@ -20,12 +20,8 @@ from .constants import (
     _require_mass,
     require_valid_config,
 )
-from .state import (
-    MAXIMAL_TOL,
-    InterferometerConfig,
-    concurrence_from_delta,
-    entangling_phase_value,
-)
+from .phase import entangling_phase_value
+from .state import MAXIMAL_TOL, InterferometerConfig, concurrence_from_delta
 
 # each --vary name and the position of its number in (m, r1, r2, omega1, omega2)
 _VARY_POSITIONS = {"omega2": 4, "r2": 2, "mass": 0}

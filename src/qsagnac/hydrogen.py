@@ -14,6 +14,7 @@ import operator
 from collections import namedtuple
 
 from .constants import ConstantSet, UnitSystem, constants_for
+from .phase import loop_phase
 from .state import EntanglementReport, report_from_parameters
 
 
@@ -55,8 +56,8 @@ def hydrogen_phase(n: int, consts: ConstantSet) -> HydrogenPhases:
     """Loop-phase figures for orbit n, both the m omega A / hbar estimate
     and the full loop-phase-law value, which is exactly twice as large."""
     orbit = bohr_orbit(n, consts)
-    estimate = consts.m_e * orbit.omega * orbit.area / consts.hbar
-    return HydrogenPhases(estimate=estimate, loop_phase=2.0 * estimate)
+    phi = loop_phase(consts.m_e, orbit.omega, orbit.r, consts)
+    return HydrogenPhases(estimate=0.5 * phi, loop_phase=phi)
 
 
 def hydrogen_pair_report(n1: int, n2: int, consts: ConstantSet) -> EntanglementReport:

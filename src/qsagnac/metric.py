@@ -13,9 +13,9 @@ from collections import namedtuple
 
 from .constants import ConstantSet, require_linear_regime
 
-# g  4x4 numpy array of components in coordinate order (t, r, phi, z)
-# c  light speed used to build the components
-DiskMetric = namedtuple("DiskMetric", "g omega r c")
+# g       4x4 numpy array of components in coordinate order (t, r, phi, z)
+# regime  the RegimeCheck of the rim, whose beta sets g00 and h00
+DiskMetric = namedtuple("DiskMetric", "g omega r regime")
 
 # h00    omega^2 r^2 / c^2
 # h0phi  omega r^2 / c
@@ -36,22 +36,23 @@ def rotating_disk_metric(omega: float, r: float, consts: ConstantSet) -> DiskMet
     Rejects negative radii, rim speeds at or above c, and radii whose
     square overflows a double.
     """
-    beta = require_linear_regime(omega, r, consts).beta
+    regime = require_linear_regime(omega, r, consts)
     g = flat_background(r)
-    g[0, 0] = -1.0 + beta * beta
+    g[0, 0] = -1.0 + regime.beta * regime.beta
     g[0, 2] = g[2, 0] = omega * r * r / consts.c
-    return DiskMetric(g=g, omega=float(omega), r=float(r), c=consts.c)
+    return DiskMetric(g=g, omega=float(omega), r=float(r), regime=regime)
 
 
 def perturbation(metric: DiskMetric) -> Perturbation:
     """Split the metric into flat background plus deviation.
 
-    The h00 and h0phi fields come from the closed forms; the full array is
-    the componentwise difference, which adds back to the metric exactly.
+    h00 is the square of the rim speed the regime gate computed, h0phi the
+    metric's own component; the full array is the componentwise difference,
+    which adds back to the metric exactly.
     """
-    rim = metric.omega * metric.r / metric.c
+    beta = metric.regime.beta
     return Perturbation(
-        h00=rim * rim,
+        h00=beta * beta,
         h0phi=float(metric.g[0, 2]),
         full=metric.g - flat_background(metric.r),
     )

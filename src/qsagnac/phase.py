@@ -6,8 +6,11 @@ at omega acquires the phase
     phi = (m c^2 / hbar) * (omega^2 r^2 / c^2) * (2 pi / omega)
         = (2 m / hbar) * omega * A,        A = pi r^2,
 
-i.e. the energy -1/2 T00 h00 (T00 = m c^2) accumulated over one loop
-time 2 pi / |omega|.
+which satisfies phi = -2 E t_loop / hbar * sign(omega) with the
+interaction energy E = hamiltonian_energy(m, h00) = -1/2 m c^2 h00 and the
+loop time t_loop = 2 pi / |omega|. Every phase in the package is this law:
+loop_phase at one radius and entangling_phase_value for the double
+difference between two radii and two frequencies.
 """
 
 from __future__ import annotations
@@ -57,9 +60,23 @@ def sagnac_phase(m: float, omega: float, r: float, consts: ConstantSet) -> Phase
     )
 
 
+def entangling_phase_value(
+    m: float, r1: float, r2: float, omega1: float, omega2: float, consts: ConstantSet
+) -> float:
+    """(2 m / hbar) (omega1 - omega2) (A1 - A2), without config validation.
+
+    Both gaps are taken as differences of the inputs, with r1^2 - r2^2
+    factored as (r1 - r2)(r1 + r2), so nearly equal radii or frequencies do
+    not cancel.
+    """
+    return (
+        2.0 * m * (omega1 - omega2) * math.pi * ((r1 - r2) * (r1 + r2)) / consts.hbar
+    )
+
+
 def two_radius_relative_phase(
     m: float, omega: float, r1: float, r2: float, consts: ConstantSet
 ) -> float:
     """Detectable phase between branches at two radii, (2 m / hbar) omega (A2 - A1)."""
     require_valid_config(m, r1, r2, omega, omega, consts)
-    return 2.0 * m * omega * math.pi * (r2 * r2 - r1 * r1) / consts.hbar
+    return entangling_phase_value(m, r2, r1, omega, 0.0, consts)

@@ -30,7 +30,7 @@ from .constants import (
     constants_for,
     require_valid_config,
 )
-from .phase import loop_phase
+from .phase import entangling_phase_value, loop_phase
 
 NORM_TOL = 1e-12
 MAXIMAL_TOL = 1e-9  # tolerance on |concurrence - 1|
@@ -114,27 +114,6 @@ def assemble_full_state(cfg: InterferometerConfig) -> PureState2x2:
     _require_resolved_phase(max(abs(p) for row in phases for p in row))
     return PureState2x2(
         amplitudes=tuple(tuple(0.5 * cmath.exp(1j * p) for p in row) for row in phases)
-    )
-
-
-def entangling_phase_value(
-    m: float, r1: float, r2: float, omega1: float, omega2: float, consts: ConstantSet
-) -> float:
-    """(2 m / hbar) (omega1 - omega2) (A1 - A2), without config validation.
-
-    Both gaps are taken as differences of the inputs, with r1^2 - r2^2
-    factored as (r1 - r2)(r1 + r2), so nearly equal radii or frequencies do
-    not cancel.
-    """
-    return (
-        2.0 * m * (omega1 - omega2) * math.pi * ((r1 - r2) * (r1 + r2)) / consts.hbar
-    )
-
-
-def entangling_phase(cfg: InterferometerConfig) -> float:
-    """Entangling phase of the assembled state; shift-invariant in frequency."""
-    return entangling_phase_value(
-        cfg.m, cfg.r1, cfg.r2, cfg.omega1, cfg.omega2, cfg.constants
     )
 
 

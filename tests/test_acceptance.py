@@ -26,7 +26,7 @@ from qsagnac import (
     concurrence_from_delta,
     constants_for,
     entanglement_report,
-    entangling_phase,
+    entangling_phase_value,
     hydrogen_pair_report,
     sagnac_phase,
     solve_omega2,
@@ -95,7 +95,7 @@ def test_criterion_3_concurrence_law_vs_svd_oracle():
     rng = np.random.default_rng(103)
     for _ in range(1000):
         cfg = random_config(rng)
-        law = concurrence_from_delta(entangling_phase(cfg))
+        law = concurrence_from_delta(entangling_phase_value(*cfg[:5], cfg.constants))
         oracle = svd_concurrence(assemble_full_state(cfg))
         assert abs(law - oracle) <= 1e-10
     elapsed = time.perf_counter() - t0
@@ -186,7 +186,8 @@ def test_criterion_6_invariance_suite():
             units=cfg.units,
         )
         assert math.isclose(
-            entangling_phase(shifted), entangling_phase(cfg),
+            entangling_phase_value(*shifted[:5], shifted.constants),
+            entangling_phase_value(*cfg[:5], cfg.constants),
             rel_tol=1e-10, abs_tol=1e-14,
         )
     elapsed = time.perf_counter() - t0

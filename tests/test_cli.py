@@ -238,6 +238,11 @@ def test_phase_with_second_radius(capsys):
     assert code == 0
     payload = json.loads(out)
     assert math.isclose(payload["relative_phase"], 0.01884955592153876, rel_tol=1e-12)
+    # radii 1e-9 apart in SI: mpmath gives 119160.86956049438 (50 digits)
+    code, out, _ = run(capsys, "phase", "--m", "1e-20", "--omega", "1e3",
+                       "--r", "0.01", "--r2", "0.01000000001")
+    assert code == 0
+    assert json.loads(out)["relative_phase"] == 119160.86956049438
 
 
 def test_scientific_notation_is_accepted(capsys):

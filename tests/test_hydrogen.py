@@ -11,6 +11,7 @@ from qsagnac import (
     entanglement_report,
     hydrogen_pair_report,
     hydrogen_phase,
+    loop_phase,
     regime_check,
 )
 
@@ -58,6 +59,12 @@ def test_hydrogen_phase_values():
     phases3 = hydrogen_phase(3, SI)
     assert math.isclose(phases3.estimate, 3.0 * math.pi, rel_tol=1e-6)
     assert math.isclose(phases3.loop_phase, 6.0 * math.pi, rel_tol=1e-6)
+
+    for n in range(1, 201):  # the loop-phase law itself, bit for bit
+        orbit = bohr_orbit(n, SI)
+        phases = hydrogen_phase(n, SI)
+        assert phases.loop_phase == loop_phase(SI.m_e, orbit.omega, orbit.r, SI)
+        assert phases.loop_phase == 2.0 * phases.estimate
 
 
 def test_pair_report_1_2():

@@ -90,9 +90,10 @@ def test_h00_equals_beta_squared_bitwise():
     for _ in range(200):
         omega = rng.uniform(-0.45, 0.45)
         r = rng.uniform(0.0, 2.0)
-        pert = perturbation(rotating_disk_metric(omega, r, NATURAL))
-        beta = regime_check(omega, r, NATURAL).beta
-        assert pert.h00 == beta * beta
+        metric = rotating_disk_metric(omega, r, NATURAL)
+        check = regime_check(omega, r, NATURAL)
+        assert metric.regime == check
+        assert perturbation(metric).h00 == check.beta * check.beta
 
 
 def test_si_units_carry_the_1_over_c_factors():

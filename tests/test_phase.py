@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,12 +8,28 @@ from qsagnac import (
     UnitSystem,
     constants_for,
     hamiltonian_energy,
+    loop_phase,
     loop_time,
     sagnac_phase,
     two_radius_relative_phase,
 )
 
 NATURAL = constants_for(UnitSystem.NATURAL)
+
+
+def random_si_or_natural(rng, units):
+    """(m, omega, r) drawn where the rim stays slow in either unit system."""
+    if units is UnitSystem.SI:
+        return (
+            10.0 ** rng.uniform(-27, -18),
+            rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0, 4),
+            10.0 ** rng.uniform(-4, 0),
+        )
+    return (
+        10.0 ** rng.uniform(-3, 3),
+        rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-4, -1.4),
+        rng.uniform(0.01, 2.0),
+    )
 
 
 def factored_phase_chain(m, omega, r, consts):
@@ -40,6 +57,23 @@ def test_hamiltonian_energy():
     assert math.isclose(
         hamiltonian_energy(m, h00, si), -0.5 * m * si.c**2 * h00, rel_tol=1e-15
     )
+
+
+def test_loop_phase_is_energy_times_loop_time():
+    # phi = -2 E t_loop / hbar * sign(omega), E = hamiltonian_energy(m, h00)
+    rng = np.random.default_rng(61)
+    for units in UnitSystem:
+        consts = constants_for(units)
+        for _ in range(300):
+            m, omega, r = random_si_or_natural(rng, units)
+            h00 = sagnac_phase(m, omega, r, consts).h00
+            energy = hamiltonian_energy(m, h00, consts)
+            chain = -2.0 * energy * loop_time(omega) / consts.hbar
+            assert math.isclose(
+                loop_phase(m, omega, r, consts),
+                math.copysign(chain, omega),
+                rel_tol=1e-12,
+            )
 
 
 def test_sagnac_phase_worked_example():
@@ -117,6 +151,26 @@ def test_two_radius_phase_is_difference_of_loop_phases():
             - sagnac_phase(m, omega, r1, NATURAL).phi
         )
         assert math.isclose(direct, diff, rel_tol=1e-12)
+
+
+def test_two_radius_phase_is_accurate_for_close_radii():
+    # r2^2 - r1^2 formed directly cancels most of its digits when the radii
+    # are close; the factored (r2 - r1)(r2 + r1) keeps it within a few ulp.
+    rng = np.random.default_rng(67)
+    with mpmath.workdps(50):
+        for units in UnitSystem:
+            consts = constants_for(units)
+            for gap in (1e-3, -1e-3, 1e-9, -1e-9):
+                for _ in range(100):
+                    m, omega, r1 = random_si_or_natural(rng, units)
+                    r2 = r1 * (1.0 + gap * rng.uniform(0.5, 1.5))
+                    got = two_radius_relative_phase(m, omega, r1, r2, consts)
+                    want = (
+                        2 * mpmath.mpf(m) * mpmath.mpf(omega) * mpmath.pi
+                        * (mpmath.mpf(r2) ** 2 - mpmath.mpf(r1) ** 2)
+                        / mpmath.mpf(consts.hbar)
+                    )
+                    assert abs(got - want) <= 4 * math.ulp(float(want)), (units, gap)
 
 
 def test_invalid_inputs_rejected():

@@ -19,7 +19,7 @@ from qsagnac import (
     concurrence_from_delta,
     constants_for,
     entanglement_report,
-    entangling_phase,
+    entangling_phase_value,
     entropy_from_concurrence,
     loop_phase,
     report_from_parameters,
@@ -116,12 +116,13 @@ def test_entangling_phase_degenerate_cases():
     same_radius = InterferometerConfig(
         m=10.0, r1=1.0, r2=1.0, omega1=0.01, omega2=0.02, units=UnitSystem.NATURAL
     )
-    assert entangling_phase(same_omega) == 0.0
-    assert entangling_phase(same_radius) == 0.0
+    assert entangling_phase_value(*same_omega[:5], same_omega.constants) == 0.0
+    assert entangling_phase_value(*same_radius[:5], same_radius.constants) == 0.0
 
 
 def test_entangling_phase_of_worked_config_is_pi():
-    assert math.isclose(entangling_phase(WORKED), math.pi, rel_tol=1e-12)
+    delta = entangling_phase_value(*WORKED[:5], WORKED.constants)
+    assert math.isclose(delta, math.pi, rel_tol=1e-12)
 
 
 def test_concurrence_examples():
@@ -186,7 +187,8 @@ def test_report_maximal_flag():
         m=1000.0, r1=1.0, r2=math.sqrt(2.0), omega1=0.01, omega2=0.0104995,
         units=UnitSystem.NATURAL,
     )
-    assert math.isclose(entangling_phase(near), 0.999 * math.pi, rel_tol=1e-9)
+    delta = entangling_phase_value(*near[:5], near.constants)
+    assert math.isclose(delta, 0.999 * math.pi, rel_tol=1e-9)
     assert not entanglement_report(near).maximal
 
 
@@ -257,7 +259,7 @@ def test_concurrence_law_against_svd_oracle():
     rng = np.random.default_rng(43)
     for _ in range(300):
         cfg = random_config(rng)
-        law = concurrence_from_delta(entangling_phase(cfg))
+        law = concurrence_from_delta(entangling_phase_value(*cfg[:5], cfg.constants))
         oracle = svd_concurrence(assemble_full_state(cfg))
         assert math.isclose(law, oracle, abs_tol=1e-10)
 
@@ -288,9 +290,9 @@ def test_swap_symmetry():
             m=cfg.m, r1=cfg.r1, r2=cfg.r2, omega1=cfg.omega2, omega2=cfg.omega1,
             units=cfg.units,
         )
-        delta = entangling_phase(cfg)
-        assert entangling_phase(swapped_r) == -delta
-        assert entangling_phase(swapped_o) == -delta
+        delta = entangling_phase_value(*cfg[:5], cfg.constants)
+        assert entangling_phase_value(*swapped_r[:5], swapped_r.constants) == -delta
+        assert entangling_phase_value(*swapped_o[:5], swapped_o.constants) == -delta
         base = entanglement_report(cfg)
         for other in (swapped_r, swapped_o):
             report = entanglement_report(other)
@@ -309,7 +311,8 @@ def test_frequency_shift_invariance():
             units=cfg.units,
         )
         assert math.isclose(
-            entangling_phase(shifted), entangling_phase(cfg),
+            entangling_phase_value(*shifted[:5], shifted.constants),
+            entangling_phase_value(*cfg[:5], cfg.constants),
             rel_tol=1e-10, abs_tol=1e-14,
         )
 
@@ -327,7 +330,7 @@ def test_report_is_consistent_with_individual_measures():
     # assembled amplitudes and an SVD, so they agree to rounding, not bits.
     report = entanglement_report(WORKED)
     state = assemble_full_state(WORKED)
-    assert report.delta == entangling_phase(WORKED)
+    assert report.delta == entangling_phase_value(*WORKED[:5], WORKED.constants)
     assert abs(report.concurrence - concurrence(state)) <= 1e-12
     for a, b in zip(report.schmidt, schmidt_decompose(state)):
         assert abs(a - b) <= 1e-12

@@ -2,25 +2,30 @@
 
 Output is JSON (CSV for sweeps) with floats printed to 17 significant
 digits so values survive a parse round-trip bit-exactly. Each payload is
-built from the result named tuples, whose fields give its keys. Exit codes:
-0 success, 1 domain error (diagnostic on stderr), 2 argument error.
+built from the result named tuples, whose fields give its keys; a sweep
+streams its rows, and a refused sweep writes nothing. Exit codes: 0
+success, 1 domain error (diagnostic on stderr) or a reader that closed the
+pipe early, 2 argument error.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from enum import Enum
+from itertools import islice
 
 from .constants import RegimeStatus, UnitSystem, constants_for, regime_check
 from .design import (
     VARY_CHOICES,
+    SweepRow,
     SweepSpec,
+    _require_finite_deltas,
     _sweep_values,
     solve_omega2,
     solve_r2,
-    sweep,
 )
 from .hydrogen import bohr_orbit, hydrogen_pair_report, hydrogen_phase
 from .metric import perturbation, rotating_disk_metric
@@ -190,19 +195,37 @@ def cmd_solve(args) -> str:
 _REGIME_TEXT = {status: status.value for status in RegimeStatus}
 
 
+# rows per write (about 100 KB of CSV, 200 KB of JSON): with PYTHONUNBUFFERED
+# set, each write is a syscall
+_CHUNK_ROWS = 1024
+
+
+def _write_lines(head: str, lines, sep: str) -> None:
+    """Write head, then a newline and the lines joined by sep, in chunks."""
+    write = sys.stdout.write  # looked up per call, so a redirected stdout is used
+    write(head)
+    lead = "\n"
+    while chunk := list(islice(lines, _CHUNK_ROWS)):
+        write(lead + sep.join(chunk))
+        lead = sep
+
+
 def cmd_sweep(args) -> str:
     spec = SweepSpec(args.vary, args.start, args.stop, args.count, _config(args))
-    if args.format == "json":
-        return to_json(sweep(spec))
+    _require_finite_deltas(spec)  # so a refused sweep writes nothing
+    rows = _sweep_values(spec)
+    if args.format == "json":  # to_json(sweep(spec)), a row at a time
+        _write_lines("[", ("  " + to_json(SweepRow._make(r), 1) for r in rows), ",\n")
+        return "\n]"  # the rest, for main to print
     # the kernel's tuples, not sweep()'s rows: holding a SweepRow per row
     # costs about 13% of perfbench's sweep_csv throughput and 1 MB of RSS
-    lines = ["value,delta,concurrence,entropy_bits,regime"]
-    lines += [
+    lines = (
         f"{format_float(value)},{format_float(delta)},{format_float(conc)},"
         f"{format_float(entropy)},{_REGIME_TEXT[regime]}"
-        for value, delta, conc, entropy, regime in _sweep_values(spec)
-    ]
-    return "\n".join(lines)
+        for value, delta, conc, entropy, regime in rows
+    )
+    _write_lines("value,delta,concurrence,entropy_bits,regime", lines, "\n")
+    return ""
 
 
 def cmd_hydrogen(args) -> str:
@@ -315,11 +338,15 @@ def main(argv=None) -> int:
         print(f"usage error: {message}", file=sys.stderr)
         return 2
     try:
-        output = args.run(args)
+        print(args.run(args))
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(output)
+    except BrokenPipeError:  # the reader stopped early, as `| head` does
+        # point stdout at devnull, so the flush at interpreter exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import namedtuple
+from collections import deque, namedtuple
 
 from .constants import (
     ConstantSet,
@@ -26,7 +26,7 @@ from .state import MAXIMAL_TOL, InterferometerConfig, concurrence_from_delta
 # each --vary name and the position of its number in (m, r1, r2, omega1, omega2)
 _VARY_POSITIONS = {"omega2": 4, "r2": 2, "mass": 0}
 VARY_CHOICES = tuple(_VARY_POSITIONS)
-MAX_SWEEP_ROWS = 10**6  # a sweep is held in memory whole, so --count is bounded
+MAX_SWEEP_ROWS = 10**6  # sweep() and _grid return lists, so --count is bounded
 
 
 class SweepSpec(_Checked, namedtuple("SweepSpec", "varying start stop count base")):
@@ -121,19 +121,22 @@ def solve_r2(
     return r2
 
 
-def _grid(start: float, stop: float, count: int) -> list[float]:
-    """np.linspace(start, stop, count) bit for bit, for a finite span."""
+def _grid(start: float, stop: float, count: int, at=None) -> list[float]:
+    """np.linspace(start, stop, count) bit for bit, for a finite span; only
+    the points at the indices in `at` if it is given."""
     start, stop = float(start), float(stop)
     span = stop - start
     if count == 1:
         return [0.0 * span + start]  # not [start]: numpy turns a -0.0 start into 0.0
     div = count - 1
     step = span / div
+    inner = range(div) if at is None else [i for i in at if 0 <= i < div]
     if step == 0:  # a zero or subnormal span: divide first, as numpy does
-        values = [(i / div) * span + start for i in range(div)]
+        values = [(i / div) * span + start for i in inner]
     else:
-        values = [i * step + start for i in range(div)]
-    values.append(stop)
+        values = [i * step + start for i in inner]
+    if at is None or div in at:
+        values.append(stop)
     return values
 
 
@@ -172,6 +175,24 @@ def _sweep_values(spec: SweepSpec):
         if lo > 0.0:
             entropy -= lo * log2(lo)
         yield value, delta, conc, entropy, regime
+
+
+def _require_finite_deltas(spec: SweepSpec) -> None:
+    """Raise before any row is made what _sweep_values(spec) would raise part
+    way through, a non-finite delta. delta is linear in m and in omega2, and
+    |r1^2 - r2^2| peaks at an end or at r2 = 0, so the kernel is run at the
+    two ends and at the points either side of 0 of an r2 grid that crosses it
+    (a property test pins this against the whole sweep)."""
+    start, stop, count = spec.start, spec.stop, spec.count
+    at = {0, count - 1}
+    if spec.varying == "r2" and start < 0 < stop:
+        below = int(-start / (stop - start) * (count - 1))  # off by at most one
+        at.update(range(below - 1, below + 3))
+    try:
+        for value in _grid(start, stop, count, at):
+            next(_sweep_values(spec._replace(start=value, stop=value, count=1)))
+    except ValueError:  # refuse in the kernel's words, naming the first such row
+        deque(_sweep_values(spec), maxlen=0)
 
 
 def sweep(spec: SweepSpec) -> list[SweepRow]:

@@ -9,6 +9,7 @@ import mpmath
 import pytest
 
 import qsagnac
+from qsagnac import InterferometerConfig, SweepSpec, UnitSystem, sweep
 from qsagnac.cli import format_float, main, to_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -320,6 +321,47 @@ def test_sweep_json(capsys):
         assert abs(row["concurrence"] - abs(math.sin(row["delta"] / 2))) <= 1e-10
 
 
+def sweep_argv(count, fmt):
+    return ["sweep", "--vary", "omega2", "--start", "0.009", "--stop", "0.012",
+            "--count", str(count), "--format", fmt, "--units", "natural",
+            "--m", "1000", "--r1", "1", "--r2", "1.41421356237",
+            "--omega1", "0.01", "--omega2", "0.0105"]
+
+
+class RecordedWrites:
+    """A sys.stdout stand-in that keeps every write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_output_is_written_in_bounded_chunks(monkeypatch, fmt):
+    argv = sweep_argv(100_000, fmt)
+    stdout = RecordedWrites()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    monkeypatch.undo()
+    assert len(stdout.writes) >= 50
+    assert max(map(len, stdout.writes)) <= 256 * 1024
+    rows = sweep(SweepSpec("omega2", 0.009, 0.012, 100_000, InterferometerConfig(
+        1000.0, 1.0, 1.41421356237, 0.01, 0.0105, UnitSystem.NATURAL)))
+    if fmt == "json":
+        expected = to_json(rows)
+    else:
+        expected = "\n".join(["value,delta,concurrence,entropy_bits,regime"] + [
+            ",".join([*map(format_float, row[:4]), row.regime.value]) for row in rows
+        ])
+    assert "".join(stdout.writes) == expected + "\n"
+
+
 def test_hydrogen_subcommand(capsys):
     code, out, _ = run(capsys, "hydrogen", "--n", "1")
     assert code == 0
@@ -394,6 +436,37 @@ def test_console_script_entry_point():
     done = script("phase", "--m", "abc", "--omega", "0.1", "--r", "1")  # bad argument
     assert (done.returncode, done.stdout) == (2, "")
     assert "usage: qsagnac" in done.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_reader_that_stops_early_gets_no_traceback(unbuffered):
+    # `qsagnac sweep ... | head -n 1`: stdout's pipe closes mid-sweep
+    env = {**package_env(), "PYTHONUNBUFFERED": unbuffered}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ENTRY_POINT, *sweep_argv(200_000, "csv")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first == b"value,delta,concurrence,entropy_bits,regime\n"
+    assert err == b""
+
+
+def test_a_reader_that_is_gone_before_a_short_output_gets_no_traceback():
+    # buffered stdout holds the whole output, so the pipe error shows only
+    # when it is flushed
+    read, write = os.pipe()
+    os.close(read)
+    env = {**package_env(), "PYTHONUNBUFFERED": ""}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", ENTRY_POINT, *GOLDEN_INVOCATIONS["entangle.json"]],
+            stdout=write, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def test_a_bad_mass_is_refused_in_the_same_words_everywhere(capsys):

@@ -27,7 +27,7 @@ from qsagnac import (
 )
 from qsagnac.cli import format_float, main, to_json
 from qsagnac.constants import require_valid_config
-from qsagnac.design import VARY_CHOICES, _grid
+from qsagnac.design import VARY_CHOICES, _grid, _require_finite_deltas
 
 from helpers import ROW_NAMES, reference_sweep_rows
 
@@ -139,12 +139,12 @@ def test_sweep_rows_take_their_regime_from_the_config_gate(spec):
         assert row.regime is expected
 
 
-def csv_sweep_argv(spec):
-    """The CLI invocation of spec as CSV; repr round-trips every double."""
+def sweep_argv(spec, fmt="csv"):
+    """The CLI invocation of spec; repr round-trips every double."""
     flags = zip(("m", "r1", "r2", "omega1", "omega2"), spec.base[:5])
     return [
         "sweep", "--vary", spec.varying, f"--start={spec.start!r}",
-        f"--stop={spec.stop!r}", "--count", str(spec.count), "--format", "csv",
+        f"--stop={spec.stop!r}", "--count", str(spec.count), "--format", fmt,
         "--units", spec.base.units.value,
         *(f"--{name}={value!r}" for name, value in flags),
     ]
@@ -152,6 +152,17 @@ def csv_sweep_argv(spec):
 
 def base(m=1.0, r1=1.0, r2=1.5, omega1=0.01, omega2=0.02, units=NATURAL):
     return InterferometerConfig(m, r1, r2, omega1, omega2, units)
+
+
+def r2_overflow_at_zero_only(count):
+    # delta is 0 at r2 = +-r1, the two ends, and inf at r2 = 0
+    config = base(1e300, 1e154, 1e154, 5e-155, -5e-155)
+    return SweepSpec("r2", -1e154, 1e154, count, config)
+
+
+# r2 = -1.25e100, -6e99, 5e98, 7e99: only the first row above 0 overflows
+R2_OVERFLOW_ABOVE_ZERO = SweepSpec(
+    "r2", -1.25e100, 0.7e100, 4, base(4.29e207, 1e100, 1e100, 0.5e-100, -0.5e-100))
 
 
 @settings(max_examples=60, deadline=None)
@@ -167,6 +178,10 @@ def base(m=1.0, r1=1.0, r2=1.5, omega1=0.01, omega2=0.02, units=NATURAL):
 @example(SweepSpec("omega2", -0.0, -0.0, 1, base()))
 @example(SweepSpec("omega2", 999.0, 1001.0, 5,
                    base(1e-20, 0.01, 0.011, 1e3, 999.0, SI)))
+# refused at interior rows only, so the ends alone cannot settle it
+@example(r2_overflow_at_zero_only(3))
+@example(r2_overflow_at_zero_only(4))
+@example(R2_OVERFLOW_ABOVE_ZERO)
 def test_sweep_rows_equal_the_per_row_reference_bit_for_bit(spec):
     try:
         expected = reference_sweep_rows(spec)
@@ -174,7 +189,7 @@ def test_sweep_rows_equal_the_per_row_reference_bit_for_bit(spec):
         expected = None
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(csv_sweep_argv(spec))
+        code = main(sweep_argv(spec))
     if expected is None:  # a row whose delta is not finite refuses the sweep
         with pytest.raises(ValueError, match="not finite"):
             sweep(spec)
@@ -189,3 +204,59 @@ def test_sweep_rows_equal_the_per_row_reference_bit_for_bit(spec):
         ",".join([*map(format_float, want[:4]), want[4].value]) for want in expected
     ]
     assert (code, out.getvalue(), err.getvalue()) == (0, "\n".join(lines) + "\n", "")
+
+
+@st.composite
+def r2_sweeps_across_zero(draw, units):
+    """r2 grids across 0 with ends near +-r1, and m set so that |delta| at
+    r2 = 0 lies within a factor 2 of the largest double: sweeps where only
+    the rows near r2 = 0 may overflow."""
+    consts = constants_for(units)
+    r1 = draw(st.floats(1e100, 1.3e154))
+    top = min(0.999 * consts.c / r1, 1e300)
+    omega1 = draw(st.floats(0.1 * top, top)) * draw(st.sampled_from((-1.0, 1.0)))
+    omega2 = -omega1 * draw(st.floats(0.0, 1.0))
+    # |delta| / m at r2 = 0, in the kernel's order of operations
+    per_mass = abs(2.0 * (omega1 - omega2) * math.pi * (r1 * r1) / consts.hbar)
+    m = draw(st.floats(0.5, 2.0)) * (sys.float_info.max / per_mass)
+    start = -r1 * draw(st.floats(0.5, 1.5))
+    stop = r1 * draw(st.floats(0.5, 1.5))
+    return SweepSpec("r2", start, stop, draw(st.integers(2, 300)),
+                     InterferometerConfig(m, r1, r1, omega1, omega2, units))
+
+
+@settings(max_examples=150, deadline=None)
+@given(BOTH_UNITS | r2_sweeps_across_zero(NATURAL) | r2_sweeps_across_zero(SI))
+@example(r2_overflow_at_zero_only(3))
+@example(r2_overflow_at_zero_only(4))
+@example(R2_OVERFLOW_ABOVE_ZERO)
+@example(R2_OVERFLOW)
+def test_the_pre_check_refuses_exactly_the_sweeps_the_kernel_refuses(spec):
+    try:
+        sweep(spec)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            _require_finite_deltas(spec)
+        assert str(refused.value) == str(exc)
+    else:
+        _require_finite_deltas(spec)
+
+
+SWEEP_MASS = SweepSpec(  # the sweep_mass.json golden's invocation
+    "mass", -500.0, 1500.0, 5, base(1000.0, 1.0, 1.41421356237, 0.01, 0.0105))
+
+
+@settings(max_examples=60, deadline=None)
+@given(BOTH_UNITS)
+@example(SWEEP_MASS)
+@example(r2_overflow_at_zero_only(4))
+def test_the_streamed_json_sweep_is_to_json_of_the_rows(spec):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(sweep_argv(spec, "json"))
+    try:
+        expected = to_json(sweep(spec)) + "\n"
+    except ValueError:  # a refused sweep writes nothing
+        assert (code, out.getvalue()) == (1, "")
+        return
+    assert (code, out.getvalue(), err.getvalue()) == (0, expected, "")

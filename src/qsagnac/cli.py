@@ -224,7 +224,7 @@ def cmd_sweep(args) -> str:
         f"{format_float(entropy)},{_REGIME_TEXT[regime]}"
         for value, delta, conc, entropy, regime in rows
     )
-    _write_lines("value,delta,concurrence,entropy_bits,regime", lines, "\n")
+    _write_lines(",".join(SweepRow._fields), lines, "\n")
     return ""
 
 
@@ -244,14 +244,54 @@ def cmd_hydrogen(args) -> str:
     return to_json({"n1": n1, "n2": n2, **report._asdict()})
 
 
-def _add_units(parser) -> None:
-    parser.add_argument("--units", choices=[u.value for u in UnitSystem], default="si")
+# Flag specs that subcommands share: a finite number, required or not, a
+# required integer, --units, and the config flags, which end with --units.
+_NUMBER = {"type": _finite, "required": True}
+_OPTIONAL = {"type": _finite}
+_INTEGER = {"type": int, "required": True}
+_UNITS = {"--units": {"choices": [u.value for u in UnitSystem], "default": "si"}}
+_CONFIG = {**{f"--{name}": _NUMBER for name in _CONFIG_NAMES}, **_UNITS}
 
-
-def _add_config_flags(parser) -> None:
-    for name in _CONFIG_NAMES:
-        parser.add_argument(f"--{name}", type=_finite, required=True)
-    _add_units(parser)
+# Each subcommand's help line and its flags in usage order, with their
+# add_argument keywords. build_parser runs subcommand <name> with cmd_<name>.
+_SUBCOMMANDS = {
+    "constants": ("print the pinned constant table", _UNITS),
+    "metric": (
+        "rotating-disk metric and perturbation",
+        {"--omega": _NUMBER, "--r": _NUMBER, **_UNITS},
+    ),
+    "phase": (
+        "loop phase at one radius (optionally two)",
+        {"--m": _NUMBER, "--omega": _NUMBER, "--r": _NUMBER, "--r2": _OPTIONAL,
+         **_UNITS},
+    ),
+    "state": ("assembled four-branch state amplitudes", _CONFIG),
+    "entangle": ("entanglement report for a configuration", _CONFIG),
+    "solve": (
+        "closed-form maximal-entanglement parameter",
+        {
+            "--target": {"choices": ["omega2", "r2"], "required": True},
+            "--m": _NUMBER, "--r1": _NUMBER, "--r2": _OPTIONAL,
+            "--omega1": _NUMBER, "--omega2": _OPTIONAL,
+            "--k": _INTEGER,
+            **_UNITS,
+        },
+    ),
+    "sweep": (
+        "one-dimensional entanglement landscape",
+        {
+            "--vary": {"choices": VARY_CHOICES, "required": True},
+            "--start": _NUMBER, "--stop": _NUMBER, "--count": _INTEGER,
+            "--format": {"choices": ["json", "csv"], "default": "json"},
+            **_CONFIG,
+        },
+    ),
+    # --n and --pair form one required, mutually exclusive group
+    "hydrogen": (
+        "Bohr-orbit phases and pair entanglement",
+        {"--n": {"type": int}, "--pair": {"type": _pair}},
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,59 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rotating-disk matter-wave interferometer simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("constants", help="print the pinned constant table")
-    p.set_defaults(run=cmd_constants)
-    _add_units(p)
-
-    p = sub.add_parser("metric", help="rotating-disk metric and perturbation")
-    p.set_defaults(run=cmd_metric)
-    p.add_argument("--omega", type=_finite, required=True)
-    p.add_argument("--r", type=_finite, required=True)
-    _add_units(p)
-
-    p = sub.add_parser("phase", help="loop phase at one radius (optionally two)")
-    p.set_defaults(run=cmd_phase)
-    p.add_argument("--m", type=_finite, required=True)
-    p.add_argument("--omega", type=_finite, required=True)
-    p.add_argument("--r", type=_finite, required=True)
-    p.add_argument("--r2", type=_finite)
-    _add_units(p)
-
-    p = sub.add_parser("state", help="assembled four-branch state amplitudes")
-    p.set_defaults(run=cmd_state)
-    _add_config_flags(p)
-
-    p = sub.add_parser("entangle", help="entanglement report for a configuration")
-    p.set_defaults(run=cmd_entangle)
-    _add_config_flags(p)
-
-    p = sub.add_parser("solve", help="closed-form maximal-entanglement parameter")
-    p.set_defaults(run=cmd_solve)
-    p.add_argument("--target", choices=["omega2", "r2"], required=True)
-    p.add_argument("--m", type=_finite, required=True)
-    p.add_argument("--r1", type=_finite, required=True)
-    p.add_argument("--r2", type=_finite)
-    p.add_argument("--omega1", type=_finite, required=True)
-    p.add_argument("--omega2", type=_finite)
-    p.add_argument("--k", type=int, required=True)
-    _add_units(p)
-
-    p = sub.add_parser("sweep", help="one-dimensional entanglement landscape")
-    p.set_defaults(run=cmd_sweep)
-    p.add_argument("--vary", choices=VARY_CHOICES, required=True)
-    p.add_argument("--start", type=_finite, required=True)
-    p.add_argument("--stop", type=_finite, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_config_flags(p)
-
-    p = sub.add_parser("hydrogen", help="Bohr-orbit phases and pair entanglement")
-    p.set_defaults(run=cmd_hydrogen)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int)
-    group.add_argument("--pair", type=_pair)
-
+    for name, (help_line, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        # looked up per call, so a handler rebound on the module is the one run
+        p.set_defaults(run=globals()[f"cmd_{name}"])
+        if name == "hydrogen":
+            p = p.add_mutually_exclusive_group(required=True)
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 

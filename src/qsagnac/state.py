@@ -37,10 +37,11 @@ MAXIMAL_TOL = 1e-9  # tolerance on |concurrence - 1|
 
 
 def _require_resolved_phase(x: float) -> None:
-    # A double phase whose ulp exceeds MAXIMAL_TOL no longer fixes its value
-    # mod 2 pi, so nothing derived from it can be trusted; |x| >= 2^23 rad.
-    # Also refuses inf and nan, for which ulp is inf and nan.
-    if not math.ulp(x) <= MAXIMAL_TOL:
+    # A phase computed in n roundings is off by up to about n 2^-53 |x|
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 3.1). Allowing
+    # n = 8, past |x| 2^-50 > MAXIMAL_TOL (1.13e6 rad) it no longer fixes its
+    # value mod 2 pi. Also refuses inf and nan.
+    if not abs(x) * 2.0**-50 <= MAXIMAL_TOL:
         raise ValueError(f"phase {x:.6g} rad is past double resolution")
 
 

@@ -86,3 +86,50 @@ def reference_sweep_rows(spec):
         conc = concurrence_from_delta(delta)
         rows.append((value, delta, conc, entropy_from_concurrence(conc), regime))
     return rows
+
+
+def parser_interface(parser):
+    """The declared interface of an argparse parser and of its subparsers, as
+    plain data: each action's flags, dest, type name, required, choices,
+    default and help in declaration order, the mutually exclusive groups, and
+    each subcommand's help line. Structural rather than format_help() text,
+    whose layout differs between Python versions. tests/cli_interface.json is
+    this function of qsagnac's parser, written with
+
+        PYTHONPATH=src:tests python -c "import json, helpers, qsagnac.cli as c;
+        print(json.dumps(helpers.parser_interface(c.build_parser()), indent=1))"
+    """
+    actions, subcommands = [], {}
+    for action in parser._actions:
+        choices = action.choices
+        if hasattr(action, "_choices_actions"):  # the subparsers action
+            subcommands = {
+                pseudo.dest: {
+                    "help": pseudo.help,
+                    **parser_interface(choices[pseudo.dest]),
+                }
+                for pseudo in action._choices_actions
+            }
+            choices = list(choices)
+        actions.append(
+            {
+                "option_strings": action.option_strings,
+                "dest": action.dest,
+                "type": getattr(action.type, "__name__", None),
+                "required": action.required,
+                "choices": None if choices is None else list(choices),
+                "default": action.default,
+                "help": action.help,
+            }
+        )
+    groups = [
+        {"required": group.required, "dests": [a.dest for a in group._group_actions]}
+        for group in parser._mutually_exclusive_groups
+    ]
+    return {
+        "prog": parser.prog,
+        "description": parser.description,
+        "actions": actions,
+        "mutually_exclusive": groups,
+        "subcommands": subcommands,
+    }

@@ -10,7 +10,9 @@ import pytest
 
 import qsagnac
 from qsagnac import InterferometerConfig, SweepSpec, UnitSystem, sweep
-from qsagnac.cli import format_float, main, to_json
+from qsagnac.cli import build_parser, format_float, main, to_json
+
+from helpers import parser_interface
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -397,6 +399,15 @@ def test_argument_errors_exit_2(capsys):
         assert code == 2, argv
         assert out == ""
         assert err != ""
+
+
+def test_the_parser_declares_the_pinned_interface():
+    # every flag's order, type, default, choices and help, each subcommand's
+    # help line and hydrogen's one required group: a reordered flag changes a
+    # usage line. Compared as data, since format_help() text differs between
+    # Python versions.
+    pinned = json.loads((Path(__file__).parent / "cli_interface.json").read_text())
+    assert parser_interface(build_parser()) == pinned
 
 
 def test_solve_target_usage_messages(capsys):

@@ -1,5 +1,6 @@
 """Property tests of the CLI's float formatting and JSON serializer, of
-the sweep grid, and of the sweep rows against a row-by-row reference."""
+the sweep grid, of the sweep rows against a row-by-row reference, and of
+the CLI's exit-code contract over argv drawn from its subcommand table."""
 
 import contextlib
 import io
@@ -20,12 +21,13 @@ from hypothesis import strategies as st
 from qsagnac import (
     InterferometerConfig,
     RegimeStatus,
+    SweepRow,
     SweepSpec,
     UnitSystem,
     constants_for,
     sweep,
 )
-from qsagnac.cli import format_float, main, to_json
+from qsagnac.cli import _SUBCOMMANDS, _finite, format_float, main, to_json
 from qsagnac.constants import require_valid_config
 from qsagnac.design import VARY_CHOICES, _grid, _require_finite_deltas
 
@@ -260,3 +262,67 @@ def test_the_streamed_json_sweep_is_to_json_of_the_rows(spec):
         assert (code, out.getvalue()) == (1, "")
         return
     assert (code, out.getvalue(), err.getvalue()) == (0, expected, "")
+
+
+# flag values: finite doubles, the ends of the double range, signed zeros and
+# moderate numbers the physics answers; integers far past any double
+NUMBERS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([1e308, -1e308, 5e-324, 0.0, -0.0])
+    | st.floats(1e-3, 1e3)
+)
+INTEGERS = st.integers(-3, 3) | st.integers(-(10**400), 10**400)
+
+
+def flag_values(flag, keywords):
+    if "choices" in keywords:
+        return st.sampled_from(list(keywords["choices"]))
+    if keywords["type"] is _finite:
+        return NUMBERS.map(repr)  # repr round-trips every double
+    if flag == "--count":
+        return st.integers(1, 50).map(str)
+    if keywords["type"] is int:
+        return INTEGERS.map(str)
+    return st.tuples(INTEGERS, INTEGERS).map(lambda pair: "%d,%d" % pair)  # --pair
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand and its flags, each required one present and each other
+    one present or not, so hydrogen gets none, one or both of its group."""
+    name = draw(st.sampled_from(list(_SUBCOMMANDS)))
+    argv = [name]
+    for flag, keywords in _SUBCOMMANDS[name][1].items():
+        if keywords.get("required") or draw(st.booleans()):
+            # flag=value, so a value such as -1e+308 is not read as a flag
+            argv.append(f"{flag}={draw(flag_values(flag, keywords))}")
+    return argv
+
+
+@pytest.mark.filterwarnings("error")  # a leaked numpy RuntimeWarning fails
+@settings(max_examples=100, deadline=None)
+@given(cli_argv())
+def test_every_cli_call_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:  # output that parses back to the same text
+        assert err == ""
+        if "--format=csv" not in argv:
+            assert to_json(json.loads(out)) + "\n" == out
+            return
+        header, *rows = out.splitlines()
+        assert header == ",".join(SweepRow._fields)
+        for row in rows:
+            *numbers, regime = row.split(",")
+            assert len(numbers) == len(SweepRow._fields) - 1
+            assert all(format_float(float(text)) == text for text in numbers)
+            assert regime in ("ok", "warn", "error")
+    elif code == 1:  # one diagnostic line
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.endswith("\n")
+    else:  # an argument error
+        assert code == 2
+        assert out == ""

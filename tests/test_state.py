@@ -103,10 +103,16 @@ def test_phases_past_double_resolution_are_refused():
     )
     with pytest.raises(ValueError, match="double resolution"):
         assemble_full_state(huge)
-    # the bound is |phase| < 2^23 rad; here delta = m pi
-    assert report_from_parameters(2.6e6, 1.0, 0.0, 0.5, 0.0, NATURAL).delta < 2.0**23
+    # the bound is |phase| 2^-50 <= 1e-9, |phase| <= 1.1259e6 rad; here
+    # delta = m pi
+    assert report_from_parameters(3.58e5, 1.0, 0.0, 0.5, 0.0, NATURAL).delta < 1.1259e6
     with pytest.raises(ValueError, match="double resolution"):
-        report_from_parameters(2.7e6, 1.0, 0.0, 0.5, 0.0, NATURAL)
+        report_from_parameters(3.59e5, 1.0, 0.0, 0.5, 0.0, NATURAL)
+    # the same bound on the largest branch phase, here m pi at r1 and omega1
+    cfg = InterferometerConfig(3.58e5, 1.0, 0.5, 0.5, 0.25, units=UnitSystem.NATURAL)
+    assemble_full_state(cfg)
+    with pytest.raises(ValueError, match="double resolution"):
+        assemble_full_state(cfg._replace(m=3.59e5))
 
 
 def test_entangling_phase_degenerate_cases():

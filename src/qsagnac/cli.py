@@ -17,7 +17,7 @@ import sys
 from enum import Enum
 from itertools import islice
 
-from .constants import RegimeStatus, UnitSystem, constants_for, regime_check
+from .constants import UnitSystem, constants_for, regime_check
 from .design import (
     VARY_CHOICES,
     SweepRow,
@@ -44,7 +44,7 @@ _CONFIG_NAMES = InterferometerConfig._fields[:5]
 def format_float(x: float) -> str:
     """17-significant-digit decimal; parses back to the identical double."""
     s = f"{x:.17g}"
-    if "." not in s and "e" not in s and "E" not in s:
+    if "." not in s and "e" not in s:
         if not math.isfinite(x):
             raise ValueError(f"result is not a finite number: {s}")
         s += ".0"
@@ -62,7 +62,7 @@ def to_json(value, indent: int = 0) -> str:
     if isinstance(value, str):
         return '"' + value + '"'
     if isinstance(value, Enum):
-        return to_json(value.value, indent)
+        return to_json(value._value_, indent)
     if hasattr(value, "_asdict"):  # a named tuple, before the tuple branch
         value = value._asdict()
     pad = "  " * indent
@@ -191,10 +191,6 @@ def cmd_solve(args) -> str:
     )
 
 
-# a dict read, where status.value would go through Enum's property
-_REGIME_TEXT = {status: status.value for status in RegimeStatus}
-
-
 # rows per write (about 100 KB of CSV, 200 KB of JSON): with PYTHONUNBUFFERED
 # set, each write is a syscall
 _CHUNK_ROWS = 1024
@@ -219,9 +215,10 @@ def cmd_sweep(args) -> str:
         return "\n]"  # the rest, for main to print
     # the kernel's tuples, not sweep()'s rows: holding a SweepRow per row
     # costs about 13% of perfbench's sweep_csv throughput and 1 MB of RSS
+    # (_value_ is a plain attribute; .value goes through Enum's property)
     lines = (
         f"{format_float(value)},{format_float(delta)},{format_float(conc)},"
-        f"{format_float(entropy)},{_REGIME_TEXT[regime]}"
+        f"{format_float(entropy)},{regime._value_}"
         for value, delta, conc, entropy, regime in rows
     )
     _write_lines(",".join(SweepRow._fields), lines, "\n")

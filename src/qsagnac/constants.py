@@ -17,6 +17,7 @@ relation a0 = hbar / (m_e c alpha) in both systems.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from enum import Enum
 
@@ -140,6 +141,14 @@ def require_linear_regime(omega: float, r: float, consts: ConstantSet) -> Regime
 def _require_mass(m: float) -> None:
     if not 0 < m < math.inf:  # also refuses a nan mass
         raise ValueError("mass must be positive and finite")
+
+
+def _require_integer(x, name: str) -> int:
+    # operator.index, unlike int(), refuses 3.0 as well as 2.5
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {x!r}") from None
 
 
 def _config_regime(

@@ -9,7 +9,6 @@ landscape around those solutions.
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque, namedtuple
 
 from .constants import (
@@ -17,6 +16,7 @@ from .constants import (
     RegimeStatus,
     _Checked,
     _config_regime,
+    _require_integer,
     _require_mass,
     require_valid_config,
 )
@@ -44,10 +44,7 @@ class SweepSpec(_Checked, namedtuple("SweepSpec", "varying start stop count base
             raise ValueError(f"varying must be one of {VARY_CHOICES}")
         if not isinstance(self.base, cls._base_type):
             raise ValueError("base must be an InterferometerConfig")
-        try:
-            operator.index(self.count)
-        except TypeError:
-            raise ValueError(f"count must be an integer, not {self.count!r}") from None
+        _require_integer(self.count, "count")
         if not 1 <= self.count <= MAX_SWEEP_ROWS:
             raise ValueError(f"count must be between 1 and {MAX_SWEEP_ROWS}")
         if self.start > self.stop:
@@ -79,6 +76,7 @@ def _require_solution(
 
 def _odd(k: int) -> float:
     """2k + 1 as a double, for the odd multiple of pi that k picks."""
+    k = _require_integer(k, "k")
     try:
         return float(2 * k + 1)
     except OverflowError:

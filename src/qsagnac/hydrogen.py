@@ -10,10 +10,9 @@ m_e omega A / hbar equal pi n exactly, order one already at n = 1.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 
-from .constants import ConstantSet, UnitSystem, constants_for
+from .constants import ConstantSet, UnitSystem, _require_integer, constants_for
 from .phase import loop_phase
 from .state import EntanglementReport, report_from_parameters
 
@@ -29,19 +28,12 @@ BohrOrbit = namedtuple("BohrOrbit", "n r omega area")
 HydrogenPhases = namedtuple("HydrogenPhases", "estimate loop_phase")
 
 
-def _require_si(consts: ConstantSet) -> None:
+def bohr_orbit(n: int, consts: ConstantSet) -> BohrOrbit:
+    """Circular Bohr orbit for integer principal quantum number n >= 1."""
     # Atomic-scale claims only make sense against the real constants.
     if consts != constants_for(UnitSystem.SI):
         raise ValueError("hydrogen estimates require the SI constant set")
-
-
-def bohr_orbit(n: int, consts: ConstantSet) -> BohrOrbit:
-    """Circular Bohr orbit for integer principal quantum number n >= 1."""
-    _require_si(consts)
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"quantum number must be an integer, not {n!r}") from None
+    n = _require_integer(n, "quantum number")
     if n < 1:
         raise ValueError("principal quantum number must be at least 1")
     try:
@@ -67,11 +59,10 @@ def hydrogen_pair_report(n1: int, n2: int, consts: ConstantSet) -> EntanglementR
     the report is built without the configuration-level cross-pair regime
     gate (which would pair the fastest frequency with the largest radius).
     """
-    _require_si(consts)
-    if n1 == n2:
-        raise ValueError("quantum numbers must differ")
     orbit1 = bohr_orbit(n1, consts)
     orbit2 = bohr_orbit(n2, consts)
+    if orbit1.n == orbit2.n:
+        raise ValueError("quantum numbers must differ")
     return report_from_parameters(
         consts.m_e, orbit1.r, orbit2.r, orbit1.omega, orbit2.omega, consts
     )

@@ -67,6 +67,11 @@ class InterferometerConfig(
         return constants_for(self.units)
 
 
+def _require_loops(cfg: InterferometerConfig) -> None:
+    if cfg.omega1 == 0 or cfg.omega2 == 0:
+        raise ValueError("each frequency branch must complete a loop: omega != 0")
+
+
 class PureState2x2(_Checked, namedtuple("PureState2x2", "amplitudes")):
     """Normalized amplitudes over the {r1, r2} x {omega1, omega2} basis.
 
@@ -105,8 +110,7 @@ def assemble_full_state(cfg: InterferometerConfig) -> PureState2x2:
 
     Raises ValueError when a branch phase is past double resolution.
     """
-    if cfg.omega1 == 0 or cfg.omega2 == 0:
-        raise ValueError("each frequency branch must complete a loop: omega != 0")
+    _require_loops(cfg)
     consts = cfg.constants
     phases = [
         [loop_phase(cfg.m, o, r, consts) for o in (cfg.omega1, cfg.omega2)]
@@ -168,8 +172,7 @@ def report_from_parameters(
 
 def entanglement_report(cfg: InterferometerConfig) -> EntanglementReport:
     """Full entanglement report for a validated configuration."""
-    if cfg.omega1 == 0 or cfg.omega2 == 0:
-        raise ValueError("each frequency branch must complete a loop: omega != 0")
+    _require_loops(cfg)
     return report_from_parameters(
         cfg.m, cfg.r1, cfg.r2, cfg.omega1, cfg.omega2, cfg.constants
     )

@@ -74,6 +74,10 @@ def test_solve_omega2_errors():
     # the config gate's mass rule, before the zero denominator that m = 0 makes
     with pytest.raises(ValueError, match="positive and finite"):
         solve_omega2(0.0, 1.0, 2.0, 0.01, 0, NATURAL)
+    # k picks the odd multiple 2k + 1 of pi; 2.5 would aim for 6 pi
+    for k in (2.5, 3.0):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            solve_omega2(1000.0, 1.0, math.sqrt(2.0), 0.01, k, NATURAL)
 
 
 def test_solve_r2_worked_example():
@@ -97,6 +101,9 @@ def test_solve_r2_errors():
         solve_r2(1e-300, 1.0, 1e-30, 0.0, 0, NATURAL)
     with pytest.raises(ValueError, match="positive and finite"):
         solve_r2(-1.0, 1.0, 0.01, 0.02, 0, NATURAL)
+    for k in (2.5, 3.0):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            solve_r2(1000.0, math.sqrt(2.0), 0.0105, 0.01, k, NATURAL)
 
 
 def test_solution_hits_odd_multiples_of_pi():

@@ -114,8 +114,11 @@ def test_far_apart_pairs_skip_the_cross_pair_gate():
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         bohr_orbit(0, SI)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must differ"):
         hydrogen_pair_report(2, 2, SI)
+    # each orbit's own rule first: n = 0 is refused for being below 1
+    with pytest.raises(ValueError, match="at least 1"):
+        hydrogen_pair_report(0, 0, SI)
     with pytest.raises(ValueError):
         bohr_orbit(1, constants_for(UnitSystem.NATURAL))
     # integers too large for a double: ValueError, not OverflowError
@@ -127,6 +130,7 @@ def test_invalid_inputs():
     for n in (2.5, 3.0):
         for call in (lambda: bohr_orbit(n, SI), lambda: hydrogen_phase(n, SI),
                      lambda: hydrogen_pair_report(1, n, SI),
-                     lambda: hydrogen_pair_report(n, 1, SI)):
+                     lambda: hydrogen_pair_report(n, 1, SI),
+                     lambda: hydrogen_pair_report(n, n, SI)):
             with pytest.raises(ValueError, match="integer"):
                 call()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from enum import Enum
 from itertools import islice
@@ -291,6 +292,12 @@ _SUBCOMMANDS = {
 }
 
 
+# argparse (a private attribute, the same on 3.10-3.13) takes a token that
+# starts with "-" for a value, not a flag, only in the forms -1 and -1.5;
+# this also takes -1e-3, while -inf still needs --flag=-inf
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsagnac",
@@ -299,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_line)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         # looked up per call, so a handler rebound on the module is the one run
         p.set_defaults(run=globals()[f"cmd_{name}"])
         if name == "hydrogen":

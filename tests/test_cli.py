@@ -255,6 +255,25 @@ def test_scientific_notation_is_accepted(capsys):
     assert json.loads(out)["omega"] == 0.001
 
 
+NATURAL_CONFIG = ["--units", "natural", "--m", "1000", "--r1", "1",
+                  "--r2", "1.41421356237", "--omega1", "0.01"]
+
+
+def test_negative_numbers_in_exponent_notation_are_values(capsys):
+    # argparse's own pattern reads "-1e-3" as an unknown flag ("expected one
+    # argument", exit 2); each must print what --flag=-1e-3 prints
+    cases = [
+        (["phase", "--units", "natural", "--m", "1", "--r", "1"], "--omega", "-1e-3"),
+        (["sweep", "--vary", "omega2", "--stop", "0.012", "--count", "5",
+          "--format", "csv", *NATURAL_CONFIG, "--omega2", "0.0105"], "--start", "-1e-2"),
+        (["entangle", *NATURAL_CONFIG], "--omega2", "-1e-3"),
+    ]
+    for argv, flag, value in cases:
+        joined = run(capsys, *argv, f"{flag}={value}")
+        assert joined[0] == 0, argv
+        assert run(capsys, *argv, flag, value) == joined, argv
+
+
 def test_state_amplitudes_as_re_im_pairs(capsys):
     code, out, _ = run(capsys, "state", "--units", "natural", "--m", "1000",
                        "--r1", "1", "--r2", "1.41421356237",
@@ -382,6 +401,7 @@ def test_argument_errors_exit_2(capsys):
         ["phase", "--omega", "0.1", "--r", "1"],  # missing --m
         ["phase", "--m", "abc", "--omega", "0.1", "--r", "1"],
         ["phase", "--m", "nan", "--omega", "0.1", "--r", "1"],
+        ["phase", "--m", "1", "--omega", "-inf", "--r", "1"],  # -inf still reads as a flag
         ["entangle", "--format", "csv", "--m", "1", "--r1", "1", "--r2", "2",
          "--omega1", "0.001", "--omega2", "0.002"],  # csv only for sweep
         ["phase", "--m", "1", "--omega", "0.1", "--r", "1", "--bogus", "3"],

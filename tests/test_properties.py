@@ -1,6 +1,7 @@
 """Property tests of the CLI's float formatting and JSON serializer, of
-the sweep grid, of the sweep rows against a row-by-row reference, and of
-the CLI's exit-code contract over argv drawn from its subcommand table."""
+the sweep grid, of the sweep rows against a row-by-row reference, of the
+entanglement report and the solvers over drawn SI and natural inputs, and
+of the CLI's exit-code contract over argv drawn from its subcommand table."""
 
 import contextlib
 import io
@@ -24,12 +25,18 @@ from qsagnac import (
     SweepRow,
     SweepSpec,
     UnitSystem,
+    concurrence_from_delta,
     constants_for,
+    entangling_phase_value,
+    report_from_parameters,
+    solve_omega2,
+    solve_r2,
     sweep,
 )
 from qsagnac.cli import _SUBCOMMANDS, _finite, format_float, main, to_json
 from qsagnac.constants import require_valid_config
 from qsagnac.design import VARY_CHOICES, _grid, _require_finite_deltas
+from qsagnac.state import MAXIMAL_TOL
 
 from helpers import ROW_NAMES, reference_sweep_rows
 
@@ -262,6 +269,74 @@ def test_the_streamed_json_sweep_is_to_json_of_the_rows(spec):
         assert (code, out.getvalue()) == (1, "")
         return
     assert (code, out.getvalue(), err.getvalue()) == (0, expected, "")
+
+
+def magnitudes(lo, hi):
+    """Positive doubles from 10^lo to 10^(hi + 1), spread over the decades."""
+    return st.builds(lambda f, e: f * 10.0**e, st.floats(1.0, 10.0), st.integers(lo, hi))
+
+
+# decades of m, of the radii and of the frequencies over which delta runs
+# from far below 1 rad to far past double resolution (1.13e6 rad), with rims
+# on both sides of the speed of light
+SCALES = {SI: ((-30, -10), (-4, 0), (0, 5)), NATURAL: ((-3, 6), (-2, 2), (-4, 0))}
+SIGNS = st.sampled_from((-1.0, 1.0))
+K = st.integers(-3, 3) | st.integers(-(10**6), 10**6)
+
+
+@st.composite
+def parameters(draw):
+    """(m, r1, r2, omega1, omega2, consts), SI or natural."""
+    units = draw(st.sampled_from(UnitSystem))
+    masses, radii, frequencies = (magnitudes(*decades) for decades in SCALES[units])
+    omega1, omega2 = (draw(SIGNS) * draw(frequencies) for _ in range(2))
+    return (draw(masses), draw(radii), draw(radii), omega1, omega2,
+            constants_for(units))
+
+
+WORKED = (1000.0, 1.0, math.sqrt(2.0), 0.01, 0.0105, constants_for(NATURAL))
+
+
+@settings(max_examples=300, deadline=None)
+@given(parameters())
+@example(WORKED)
+def test_every_report_is_a_pure_two_qubit_state_or_refused(args):
+    try:
+        report = report_from_parameters(*args)
+    except ValueError:
+        return
+    c, (s1, s2) = report.concurrence, report.schmidt
+    assert 0.0 <= c <= 1.0
+    assert s1 >= s2 >= 0.0
+    assert abs(s1 * s1 + s2 * s2 - 1.0) <= 2 * math.ulp(1.0)
+    assert 0.0 <= report.entropy_bits <= 1.0
+    assert report.maximal == (abs(c - 1.0) <= MAXIMAL_TOL)
+    assert abs(report.delta) * 2.0**-50 <= MAXIMAL_TOL  # delta fixes itself mod 2 pi
+
+
+def assert_maximal_config(m, r1, r2, omega1, omega2, consts):
+    require_valid_config(m, r1, r2, omega1, omega2, consts)
+    delta = entangling_phase_value(m, r1, r2, omega1, omega2, consts)
+    assert 1.0 - concurrence_from_delta(delta) <= MAXIMAL_TOL
+
+
+@settings(max_examples=300, deadline=None)
+@given(parameters(), K)
+@example(WORKED, 0)
+def test_every_solver_answer_is_a_maximal_valid_config_or_refused(args, k):
+    m, r1, r2, omega1, omega2, consts = args
+    try:
+        solved = solve_omega2(m, r1, r2, omega1, k, consts)
+    except ValueError:
+        pass
+    else:
+        assert_maximal_config(m, r1, r2, omega1, solved, consts)
+    try:
+        solved = solve_r2(m, r1, omega1, omega2, k, consts)
+    except ValueError:
+        pass
+    else:
+        assert_maximal_config(m, r1, solved, omega1, omega2, consts)
 
 
 # flag values: finite doubles, the ends of the double range, signed zeros and

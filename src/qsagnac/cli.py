@@ -292,9 +292,10 @@ _SUBCOMMANDS = {
 }
 
 
-# argparse (a private attribute, the same on 3.10-3.13) takes a token that
-# starts with "-" for a value, not a flag, only in the forms -1 and -1.5;
-# this also takes -1e-3, while -inf still needs --flag=-inf
+# argparse reads a token that starts with "-" as a value, not a flag, only
+# in the forms -1 and -1.5. Each subparser's private matcher (the same
+# attribute on Python 3.10-3.13) is set to this one, which also takes
+# -1e-3; -inf still needs --flag=-inf.
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 

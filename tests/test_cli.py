@@ -265,7 +265,8 @@ def test_negative_numbers_in_exponent_notation_are_values(capsys):
     cases = [
         (["phase", "--units", "natural", "--m", "1", "--r", "1"], "--omega", "-1e-3"),
         (["sweep", "--vary", "omega2", "--stop", "0.012", "--count", "5",
-          "--format", "csv", *NATURAL_CONFIG, "--omega2", "0.0105"], "--start", "-1e-2"),
+          "--format", "csv", *NATURAL_CONFIG, "--omega2", "0.0105"],
+         "--start", "-1e-2"),
         (["entangle", *NATURAL_CONFIG], "--omega2", "-1e-3"),
     ]
     for argv, flag, value in cases:
@@ -401,7 +402,7 @@ def test_argument_errors_exit_2(capsys):
         ["phase", "--omega", "0.1", "--r", "1"],  # missing --m
         ["phase", "--m", "abc", "--omega", "0.1", "--r", "1"],
         ["phase", "--m", "nan", "--omega", "0.1", "--r", "1"],
-        ["phase", "--m", "1", "--omega", "-inf", "--r", "1"],  # -inf still reads as a flag
+        ["phase", "--m", "1", "--omega", "-inf", "--r", "1"],  # -inf is a flag
         ["entangle", "--format", "csv", "--m", "1", "--r1", "1", "--r2", "2",
          "--omega1", "0.001", "--omega2", "0.002"],  # csv only for sweep
         ["phase", "--m", "1", "--omega", "0.1", "--r", "1", "--bogus", "3"],

@@ -273,7 +273,8 @@ def test_the_streamed_json_sweep_is_to_json_of_the_rows(spec):
 
 def magnitudes(lo, hi):
     """Positive doubles from 10^lo to 10^(hi + 1), spread over the decades."""
-    return st.builds(lambda f, e: f * 10.0**e, st.floats(1.0, 10.0), st.integers(lo, hi))
+    return st.builds(lambda f, e: f * 10.0**e,
+                     st.floats(1.0, 10.0), st.integers(lo, hi))
 
 
 # decades of m, of the radii and of the frequencies over which delta runs

@@ -55,8 +55,8 @@ def format_float(x: float) -> str:
 def to_json(value, indent: int = 0) -> str:
     """Serializer with fixed float formatting (stdlib json hardcodes repr).
 
-    A named tuple prints as its fields, an Enum as its value, an array
-    through .tolist(), and a complex number as {"re", "im"}.
+    A named tuple prints as its fields, an Enum as its value, and a
+    complex number as {"re", "im"}.
     """
     if isinstance(value, float):
         return format_float(value)
@@ -88,8 +88,6 @@ def to_json(value, indent: int = 0) -> str:
         return str(value)
     if isinstance(value, complex):
         return to_json({"re": value.real, "im": value.imag}, indent)
-    if hasattr(value, "tolist"):  # numpy arrays, without importing numpy here
-        return to_json(value.tolist(), indent)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -120,7 +118,7 @@ def cmd_metric(args) -> str:
             "omega": args.omega,
             "r": args.r,
             "units": units,
-            "g": metric.g,
+            "g": metric.rows,
             **perturbation(metric)._asdict(),
             "regime": metric.regime,
         }
@@ -295,8 +293,9 @@ _SUBCOMMANDS = {
 # argparse reads a token that starts with "-" as a value, not a flag, only
 # in the forms -1 and -1.5. Each subparser's private matcher (the same
 # attribute on Python 3.10-3.13) is set to this one, which also takes
-# -1e-3; -inf still needs --flag=-inf.
-_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+# -1e-3 and, in any case, the -inf, -infinity and -nan that float() reads,
+# so _finite names them.
+_NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:

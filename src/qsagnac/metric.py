@@ -13,21 +13,40 @@ from collections import namedtuple
 
 from .constants import ConstantSet, require_linear_regime
 
-# g       4x4 numpy array of components in coordinate order (t, r, phi, z)
-# regime  the RegimeCheck of the rim, whose beta sets g00 and h00
-DiskMetric = namedtuple("DiskMetric", "g omega r regime")
+
+class DiskMetric(namedtuple("DiskMetric", "rows omega r regime")):
+    """The metric at one radius of a spinning disk.
+
+    rows    four rows of four floats, components in coordinate order
+            (t, r, phi, z)
+    regime  the RegimeCheck of the rim, whose beta sets g00 and h00
+    """
+
+    __slots__ = ()
+
+    @property
+    def g(self):
+        """rows as a new 4x4 float64 numpy array on each access."""
+        import numpy as np  # imported here, so no other code path loads numpy
+
+        return np.array(self.rows)
+
 
 # h00    omega^2 r^2 / c^2
 # h0phi  omega r^2 / c
-# full   4x4 numpy array: g minus the flat cylindrical background
+# full   four rows of four floats: the metric's rows minus the flat
+#        cylindrical background's
 Perturbation = namedtuple("Perturbation", "h00 h0phi full")
 
 
-def flat_background(r: float):
-    """Cylindrical Minkowski metric diag(-1, 1, r^2, 1) as a 4x4 numpy array."""
-    import numpy as np  # imported here, so no other code path loads numpy
-
-    return np.diag([-1.0, 1.0, r * r, 1.0])
+def flat_background(r: float) -> tuple:
+    """Cylindrical Minkowski metric diag(-1, 1, r^2, 1) as four rows of floats."""
+    return (
+        (-1.0, 0.0, 0.0, 0.0),
+        (0.0, 1.0, 0.0, 0.0),
+        (0.0, 0.0, float(r * r), 0.0),
+        (0.0, 0.0, 0.0, 1.0),
+    )
 
 
 def rotating_disk_metric(omega: float, r: float, consts: ConstantSet) -> DiskMetric:
@@ -37,22 +56,29 @@ def rotating_disk_metric(omega: float, r: float, consts: ConstantSet) -> DiskMet
     square overflows a double.
     """
     regime = require_linear_regime(omega, r, consts)
-    g = flat_background(r)
-    g[0, 0] = -1.0 + regime.beta * regime.beta
-    g[0, 2] = g[2, 0] = omega * r * r / consts.c
-    return DiskMetric(g=g, omega=float(omega), r=float(r), regime=regime)
+    g0phi = float(omega * r * r / consts.c)
+    rows = (
+        (-1.0 + regime.beta * regime.beta, 0.0, g0phi, 0.0),
+        (0.0, 1.0, 0.0, 0.0),
+        (g0phi, 0.0, float(r * r), 0.0),
+        (0.0, 0.0, 0.0, 1.0),
+    )
+    return DiskMetric(rows, float(omega), float(r), regime)
 
 
 def perturbation(metric: DiskMetric) -> Perturbation:
     """Split the metric into flat background plus deviation.
 
     h00 is the square of the rim speed the regime gate computed, h0phi the
-    metric's own component; the full array is the componentwise difference,
+    metric's own component; the full rows are the componentwise difference,
     which adds back to the metric exactly.
     """
     beta = metric.regime.beta
     return Perturbation(
         h00=beta * beta,
-        h0phi=float(metric.g[0, 2]),
-        full=metric.g - flat_background(metric.r),
+        h0phi=metric.rows[0][2],
+        full=tuple(
+            tuple(g - f for g, f in zip(g_row, f_row))
+            for g_row, f_row in zip(metric.rows, flat_background(metric.r))
+        ),
     )

@@ -53,15 +53,15 @@ def test_perturbation_of_static_disk_vanishes():
     pert = perturbation(rotating_disk_metric(0.0, 3.0, NATURAL))
     assert pert.h00 == 0.0
     assert pert.h0phi == 0.0
-    assert np.all(pert.full == 0.0)
+    assert pert.full == ((0.0,) * 4,) * 4
 
 
 def test_perturbation_example_values():
     pert = perturbation(rotating_disk_metric(0.1, 2.0, NATURAL))
     assert math.isclose(pert.h00, 0.04, rel_tol=1e-12)
     assert math.isclose(pert.h0phi, 0.4, rel_tol=1e-12)
-    assert math.isclose(pert.full[0, 0], 0.04, rel_tol=1e-12)
-    assert pert.full[0, 2] == pert.h0phi
+    assert math.isclose(pert.full[0][0], 0.04, rel_tol=1e-12)
+    assert pert.full[0][2] == pert.full[2][0] == pert.h0phi
 
 
 def test_perturbation_round_trip_is_exact():
@@ -71,7 +71,50 @@ def test_perturbation_round_trip_is_exact():
         r = rng.uniform(0.0, 2.0)
         metric = rotating_disk_metric(omega, r, NATURAL)
         pert = perturbation(metric)
-        assert np.array_equal(pert.full + flat_background(r), metric.g)
+        # componentwise: + on tuples would concatenate them
+        back = tuple(
+            tuple(h + f for h, f in zip(h_row, f_row))
+            for h_row, f_row in zip(pert.full, flat_background(r))
+        )
+        assert back == metric.rows
+
+
+def test_g_is_a_new_float64_array_of_the_rows():
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        omega = rng.uniform(-0.45, 0.45)
+        r = rng.uniform(0.0, 2.0)
+        metric = rotating_disk_metric(omega, r, NATURAL)
+        g = metric.g
+        assert g.dtype == np.float64 and g.shape == (4, 4)
+        assert np.array_equal(g, np.array(metric.rows))
+        assert g.tobytes() == np.array(metric.rows).tobytes()  # bit for bit
+        # the same array the metric was once built as
+        built = np.diag([-1.0, 1.0, r * r, 1.0])
+        built[0, 0] = -1.0 + metric.regime.beta * metric.regime.beta
+        built[0, 2] = built[2, 0] = omega * r * r / NATURAL.c
+        assert g.tobytes() == built.tobytes()
+
+
+def test_writing_to_g_leaves_the_metric_unchanged():
+    metric = rotating_disk_metric(0.1, 2.0, NATURAL)
+    rows, pert = metric.rows, perturbation(metric)
+    g = metric.g
+    assert metric.g is not g
+    g[0, 0] = g[0, 2] = 42.0
+    assert metric.rows == rows
+    assert metric.g[0, 0] != 42.0
+    assert perturbation(metric) == pert
+
+
+def test_disk_metric_is_immutable():
+    metric = rotating_disk_metric(0.1, 2.0, NATURAL)
+    with pytest.raises(AttributeError):
+        metric.rows = flat_background(2.0)
+    with pytest.raises(AttributeError):
+        metric.g = np.zeros((4, 4))
+    with pytest.raises(TypeError):
+        metric.rows[0][0] = 42.0
 
 
 def test_h00_even_and_h0phi_odd_in_omega():

@@ -10,36 +10,19 @@ pipe early, 2 argument error.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
-import re
 import sys
 from enum import Enum
 from itertools import islice
+from types import SimpleNamespace
 
 from .constants import UnitSystem, constants_for, regime_check
-from .design import (
-    VARY_CHOICES,
-    SweepRow,
-    SweepSpec,
-    _require_finite_deltas,
-    _sweep_values,
-    solve_omega2,
-    solve_r2,
-)
-from .hydrogen import bohr_orbit, hydrogen_pair_report, hydrogen_phase
-from .metric import perturbation, rotating_disk_metric
-from .phase import entangling_phase_value, sagnac_phase, two_radius_relative_phase
-from .state import (
-    InterferometerConfig,
-    assemble_full_state,
-    concurrence_from_delta,
-    entanglement_report,
-)
 
-# The numeric fields of InterferometerConfig, which are also the config flags.
-_CONFIG_NAMES = InterferometerConfig._fields[:5]
+# Each cmd_<name> imports its own modules when it runs. So the config flags,
+# InterferometerConfig._fields[:5], and --vary's choices, design.VARY_CHOICES,
+# are literals here; tests pin them to their sources.
+_CONFIG_NAMES = ("m", "r1", "r2", "omega1", "omega2")
 
 
 def format_float(x: float) -> str:
@@ -94,14 +77,18 @@ def to_json(value, indent: int = 0) -> str:
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"not a finite number: {text!r}")
     return value
 
 
 def _pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected two quantum numbers: N1,N2")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError("expected two quantum numbers: N1,N2")
     return (int(parts[0]), int(parts[1]))
 
 
@@ -111,6 +98,8 @@ def cmd_constants(args) -> str:
 
 
 def cmd_metric(args) -> str:
+    from .metric import perturbation, rotating_disk_metric
+
     units = UnitSystem(args.units)
     metric = rotating_disk_metric(args.omega, args.r, constants_for(units))
     return to_json(
@@ -126,6 +115,8 @@ def cmd_metric(args) -> str:
 
 
 def cmd_phase(args) -> str:
+    from .phase import sagnac_phase, two_radius_relative_phase
+
     units = UnitSystem(args.units)
     consts = constants_for(units)
     result = sagnac_phase(args.m, args.omega, args.r, consts)
@@ -144,7 +135,9 @@ def cmd_phase(args) -> str:
     return to_json(payload)
 
 
-def _config(args) -> InterferometerConfig:
+def _config(args):
+    from .state import InterferometerConfig
+
     return InterferometerConfig(
         **{name: getattr(args, name) for name in _CONFIG_NAMES},
         units=UnitSystem(args.units),
@@ -152,6 +145,8 @@ def _config(args) -> InterferometerConfig:
 
 
 def cmd_state(args) -> str:
+    from .state import assemble_full_state
+
     cfg = _config(args)
     state = assemble_full_state(cfg)
     return to_json(
@@ -165,11 +160,17 @@ def cmd_state(args) -> str:
 
 
 def cmd_entangle(args) -> str:
+    from .state import entanglement_report
+
     cfg = _config(args)
     return to_json({**cfg._asdict(), **entanglement_report(cfg)._asdict()})
 
 
 def cmd_solve(args) -> str:
+    from .design import solve_omega2, solve_r2
+    from .phase import entangling_phase_value
+    from .state import concurrence_from_delta
+
     units = UnitSystem(args.units)
     consts = constants_for(units)
     # every config value but the target, in the solvers' argument order
@@ -206,6 +207,8 @@ def _write_lines(head: str, lines, sep: str) -> None:
 
 
 def cmd_sweep(args) -> str:
+    from .design import SweepRow, SweepSpec, _require_finite_deltas, _sweep_values
+
     spec = SweepSpec(args.vary, args.start, args.stop, args.count, _config(args))
     _require_finite_deltas(spec)  # so a refused sweep writes nothing
     rows = _sweep_values(spec)
@@ -225,6 +228,8 @@ def cmd_sweep(args) -> str:
 
 
 def cmd_hydrogen(args) -> str:
+    from .hydrogen import bohr_orbit, hydrogen_pair_report, hydrogen_phase
+
     consts = constants_for(UnitSystem.SI)  # atomic scales are SI-only
     if args.n is not None:
         orbit = bohr_orbit(args.n, consts)
@@ -249,7 +254,7 @@ _UNITS = {"--units": {"choices": [u.value for u in UnitSystem], "default": "si"}
 _CONFIG = {**{f"--{name}": _NUMBER for name in _CONFIG_NAMES}, **_UNITS}
 
 # Each subcommand's help line and its flags in usage order, with their
-# add_argument keywords. build_parser runs subcommand <name> with cmd_<name>.
+# add_argument keywords. _parse and build_parser run <name> with cmd_<name>.
 _SUBCOMMANDS = {
     "constants": ("print the pinned constant table", _UNITS),
     "metric": (
@@ -276,7 +281,7 @@ _SUBCOMMANDS = {
     "sweep": (
         "one-dimensional entanglement landscape",
         {
-            "--vary": {"choices": VARY_CHOICES, "required": True},
+            "--vary": {"choices": ("omega2", "r2", "mass"), "required": True},
             "--start": _NUMBER, "--stop": _NUMBER, "--count": _INTEGER,
             "--format": {"choices": ["json", "csv"], "default": "json"},
             **_CONFIG,
@@ -290,15 +295,17 @@ _SUBCOMMANDS = {
 }
 
 
-# argparse reads a token that starts with "-" as a value, not a flag, only
-# in the forms -1 and -1.5. Each subparser's private matcher (the same
-# attribute on Python 3.10-3.13) is set to this one, which also takes
-# -1e-3 and, in any case, the -inf, -infinity and -nan that float() reads,
-# so _finite names them.
-_NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
+def build_parser():
+    """The argparse parser of _SUBCOMMANDS, for every argv that _parse declines."""
+    import argparse
+    import re
 
-
-def build_parser() -> argparse.ArgumentParser:
+    # argparse reads a token that starts with "-" as a value, not a flag,
+    # only in the forms -1 and -1.5. Each subparser's private matcher (the
+    # same attribute on Python 3.10-3.13) is set to this one, which also
+    # takes -1e-3 and, in any case, the -inf, -infinity and -nan that
+    # float() reads, so _finite names them.
+    negative_number = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
     parser = argparse.ArgumentParser(
         prog="qsagnac",
         description="Rotating-disk matter-wave interferometer simulator",
@@ -306,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_line)
-        p._negative_number_matcher = _NEGATIVE_NUMBER
+        p._negative_number_matcher = negative_number
         # looked up per call, so a handler rebound on the module is the one run
         p.set_defaults(run=globals()[f"cmd_{name}"])
         if name == "hydrogen":
@@ -314,6 +321,39 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, keywords in flags.items():
             p.add_argument(flag, **keywords)
     return parser
+
+
+def _parse(argv):
+    """The namespace build_parser().parse_args(argv) gives, read from
+    _SUBCOMMANDS, or None for argv that argparse must settle: help, errors,
+    abbreviated or repeated flags, and values after a space that start with "-"."""
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    name, tokens = argv[0], iter(argv[1:])
+    flags = _SUBCOMMANDS[name][1]
+    given = {}
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if not eq:
+            text = next(tokens, "-")  # a missing value is declined as a dash
+        keywords = flags.get(flag)
+        if keywords is None or flag in given or not eq and text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except Exception:  # argparse words what the converter raised
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        given[flag] = value
+    missing = [f for f, kw in flags.items() if kw.get("required") and f not in given]
+    if missing or name == "hydrogen" and len(given) != 1:  # its one required group
+        return None
+    return SimpleNamespace(
+        command=name,
+        **{flag[2:]: given.get(flag, kw.get("default")) for flag, kw in flags.items()},
+        run=globals()[f"cmd_{name}"],  # looked up per call, as in build_parser
+    )
 
 
 def _validate(args) -> str | None:
@@ -328,11 +368,13 @@ def _validate(args) -> str | None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(argv)
+    if args is None:  # so every usage text, message and exit code is argparse's
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
+            return int(exc.code or 0)
     message = _validate(args)
     if message is not None:
         print(f"usage error: {message}", file=sys.stderr)

@@ -10,6 +10,7 @@ import pytest
 
 import qsagnac
 from qsagnac import InterferometerConfig, SweepSpec, UnitSystem, sweep
+from qsagnac import cli, design
 from qsagnac.cli import build_parser, format_float, main, to_json
 
 from helpers import parser_interface
@@ -180,17 +181,98 @@ def test_no_golden_invocation_imports_numpy():
     ]
 
 
-def test_bare_import_loads_no_typing():
-    # -S, because site may preload typing and hide an import of it
+def bare_python(code: str, *argv: str) -> str:
+    """stdout of code run by an interpreter with this package's source on its
+    path and no site (-S), since site may preload typing or re and hide an
+    import of it."""
     src = str(Path(qsagnac.__file__).parents[1])
-    probe = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, qsagnac.cli; "
-         "print(*sorted({'typing', 'dataclasses', 'numpy'} & sys.modules.keys()))"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-        check=True,
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    ).stdout
+
+
+# prints the qsagnac modules loaded so far, "|", then those of a few others
+LOADED = (
+    "print(*sorted(m for m in sys.modules if m.startswith('qsagnac')), '|', "
+    "*sorted({'argparse', 're', 'gettext', 'typing', 'dataclasses', 'numpy'} "
+    "& sys.modules.keys()))"
+)
+
+
+def test_bare_import_loads_no_typing():
+    # the CLI loads argparse only for argv that the fast path declines, and
+    # each subcommand's modules only when it runs
+    assert bare_python("import sys, qsagnac.cli; " + LOADED) == (
+        "qsagnac qsagnac.cli qsagnac.constants |\n"
     )
-    assert probe.stdout == "\n"
+    assert bare_python("import sys, qsagnac; " + LOADED) == "qsagnac |\n"
+
+
+# The qsagnac modules beyond qsagnac.cli and qsagnac.constants that each
+# subcommand loads
+SUBCOMMAND_MODULES = {
+    "constants": [],
+    "metric": ["metric"],
+    "phase": ["phase"],
+    "state": ["phase", "state"],
+    "entangle": ["phase", "state"],
+    "solve": ["design", "phase", "state"],
+    "sweep": ["design", "phase", "state"],
+    "hydrogen": ["hydrogen", "phase", "state"],
+}
+
+# Runs the argv in a fresh interpreter, then prints what it has loaded
+MODULES_PROBE = """
+import contextlib, io, sys
+from qsagnac.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+""" + LOADED
+
+
+def test_each_golden_invocation_loads_only_its_subcommand_modules():
+    assert set(SUBCOMMAND_MODULES) == set(cli._SUBCOMMANDS)
+    for name, argv in GOLDEN_INVOCATIONS.items():
+        modules, others = bare_python(MODULES_PROBE, *argv).split("|")
+        assert modules.split() == sorted(
+            ["qsagnac", "qsagnac.cli", "qsagnac.constants"]
+            + ["qsagnac." + m for m in SUBCOMMAND_MODULES[argv[0]]]
+        ), name
+        # argparse settles a value after a space that starts with "-", as
+        # sweep_mass.json's --start -500; the fast path settles the rest
+        negative = any(t.startswith("-") and not t.startswith("--") for t in argv)
+        assert ("argparse" in others.split()) == negative, name
+        assert set(others.split()) <= {"argparse", "gettext", "re"}, name
+
+
+PUBLIC_NAMES = """
+BohrOrbit ConstantSet DiskMetric EntanglementReport HydrogenPhases
+InterferometerConfig Perturbation PhaseResult PureState2x2 RegimeCheck
+RegimeStatus SweepRow SweepSpec UnitSystem assemble_full_state bohr_orbit
+concurrence_from_delta constants_for entanglement_report entangling_phase_value
+entropy_from_concurrence flat_background hamiltonian_energy hydrogen_pair_report
+hydrogen_phase loop_phase loop_time perturbation regime_check
+report_from_parameters rotating_disk_metric sagnac_phase solve_omega2 solve_r2
+sweep two_radius_relative_phase
+""".split()
+
+
+def test_the_package_namespace_is_its_public_names():
+    code = ("import qsagnac; print(*qsagnac.__all__); print(*dir(qsagnac)); "
+            "ns = {}; exec('from qsagnac import *', ns); del ns['__builtins__']; "
+            "print(*sorted(ns))")
+    assert bare_python(code).splitlines() == [" ".join(PUBLIC_NAMES)] * 3
+    for name in PUBLIC_NAMES:  # each name is its home module's object
+        home = sys.modules[getattr(qsagnac, name).__module__]
+        assert getattr(qsagnac, name) is getattr(home, name)
+    with pytest.raises(AttributeError, match="no attribute 'bogus'"):
+        qsagnac.bogus
+
+
+def test_the_cli_literals_match_their_sources():
+    assert cli._CONFIG_NAMES == InterferometerConfig._fields[:5]
+    assert cli._SUBCOMMANDS["sweep"][1]["--vary"]["choices"] == design.VARY_CHOICES
 
 
 def test_json_outputs_reparse_to_the_same_text(capsys):

@@ -1,7 +1,8 @@
 """Property tests of the CLI's float formatting and JSON serializer, of
 the sweep grid, of the sweep rows against a row-by-row reference, of the
 entanglement report and the solvers over drawn SI and natural inputs, and
-of the CLI's exit-code contract over argv drawn from its subcommand table."""
+of the CLI's exit-code contract over argv drawn from its subcommand table,
+and of the CLI's argv fast path against argparse."""
 
 import contextlib
 import io
@@ -33,7 +34,15 @@ from qsagnac import (
     solve_r2,
     sweep,
 )
-from qsagnac.cli import _SUBCOMMANDS, _finite, format_float, main, to_json
+from qsagnac.cli import (
+    _SUBCOMMANDS,
+    _finite,
+    _parse,
+    build_parser,
+    format_float,
+    main,
+    to_json,
+)
 from qsagnac.constants import require_valid_config
 from qsagnac.design import VARY_CHOICES, _grid, _require_finite_deltas
 from qsagnac.state import MAXIMAL_TOL
@@ -363,15 +372,18 @@ def flag_values(flag, keywords):
 
 
 @st.composite
-def cli_argv(draw):
+def cli_argv(draw, spaced=st.just(False)):
     """A subcommand and its flags, each required one present and each other
-    one present or not, so hydrogen gets none, one or both of its group."""
+    one present or not, so hydrogen gets none, one or both of its group.
+    Each flag takes its value as flag=value, which keeps a value such as
+    -1e+308 from being read as a flag, or as the next token where spaced
+    draws True."""
     name = draw(st.sampled_from(list(_SUBCOMMANDS)))
     argv = [name]
     for flag, keywords in _SUBCOMMANDS[name][1].items():
         if keywords.get("required") or draw(st.booleans()):
-            # flag=value, so a value such as -1e+308 is not read as a flag
-            argv.append(f"{flag}={draw(flag_values(flag, keywords))}")
+            value = draw(flag_values(flag, keywords))
+            argv += [flag, value] if draw(spaced) else [f"{flag}={value}"]
     return argv
 
 
@@ -402,3 +414,61 @@ def test_every_cli_call_keeps_the_exit_code_contract(argv):
     else:  # an argument error
         assert code == 2
         assert out == ""
+
+
+@st.composite
+def unusual_argv(draw):
+    """cli_argv in both flag forms, and at times with a flag abbreviated,
+    repeated or dropped, a token replaced by a word no flag takes, or -h
+    put in."""
+    argv = draw(cli_argv(spaced=st.booleans()))
+    flags = [i for i, token in enumerate(argv) if token.startswith("--")]
+    long = [i for i in flags if len(argv[i].partition("=")[0]) > 3]
+    if long and draw(st.integers(0, 3)) == 0:  # an abbreviation, maybe ambiguous
+        i = draw(st.sampled_from(long))
+        flag, eq, value = argv[i].partition("=")
+        argv[i] = flag[: draw(st.integers(3, len(flag) - 1))] + eq + value
+    if flags and draw(st.integers(0, 3)) == 0:  # a flag given again or left out
+        i = draw(st.sampled_from(flags))
+        given = argv[i : i + (1 if "=" in argv[i] else 2)]
+        argv[i : i + len(given)] = given * draw(st.sampled_from([0, 2]))
+    if len(argv) > 1 and draw(st.integers(0, 5)) == 0:
+        argv[draw(st.integers(1, len(argv) - 1))] = "heavy"
+    if draw(st.integers(0, 7)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), "-h")
+    return argv
+
+
+def run_captured(call):
+    """(result or SystemExit code, stdout, stderr) of call()."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(unusual_argv())
+@example(["phase", "--m", "-1", "--omega", "-1e-3", "--r", "1"])
+@example(["phase", "--m=-1", "--omega=-inf", "--r", "1"])
+@example(["phase", "--m", "1", "--r", "1"])
+@example(["phase", "--m", "1", "--omega", "0", "--r"])
+@example(["constants", "--units", "heavy"])
+@example(["constants", "--unit", "natural"])
+@example(["sweep", "-h"])
+@example(["-h"])
+@example(["hydrogen"])
+@example(["hydrogen", "--n", "1", "--pair", "1,2"])
+@example(["entangle", "--m", "1", "--m", "2", "--r1", "1", "--r2", "2",
+          "--omega1", "0.01", "--omega2", "0.02"])
+def test_the_fast_path_agrees_with_argparse(argv):
+    fast = _parse(argv)
+    parsed, out, err = run_captured(lambda: build_parser().parse_args(argv))
+    if fast is not None:  # accepted: argparse gives the same namespace
+        assert (out, err) == ("", "")
+        assert vars(fast) == vars(parsed)
+    elif not hasattr(parsed, "run"):  # declined, and argparse exits
+        assert run_captured(lambda: main(argv)) == (parsed or 0, out, err)

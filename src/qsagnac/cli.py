@@ -217,9 +217,14 @@ def cmd_sweep(args) -> str:
         return "\n]"  # the rest, for main to print
     # the kernel's tuples, not sweep()'s rows: holding a SweepRow per row
     # costs about 13% of perfbench's sweep_csv throughput and 1 MB of RSS
-    # (_value_ is a plain attribute; .value goes through Enum's property)
+    # (_value_ is a plain attribute; .value goes through Enum's property).
+    # x % 1.0 > 0.0 holds just for a finite x that is not an integer, where
+    # format_float's .0 rule cannot fire, so such rows take one template.
     lines = (
-        f"{format_float(value)},{format_float(delta)},{format_float(conc)},"
+        "%.17g,%.17g,%.17g,%.17g,%s" % (value, delta, conc, entropy, regime._value_)
+        if value % 1.0 > 0.0 and delta % 1.0 > 0.0 and conc % 1.0 > 0.0
+        and entropy % 1.0 > 0.0
+        else f"{format_float(value)},{format_float(delta)},{format_float(conc)},"
         f"{format_float(entropy)},{regime._value_}"
         for value, delta, conc, entropy, regime in rows
     )
@@ -326,7 +331,8 @@ def build_parser():
 def _parse(argv):
     """The namespace build_parser().parse_args(argv) gives, read from
     _SUBCOMMANDS, or None for argv that argparse must settle: help, errors,
-    abbreviated or repeated flags, and values after a space that start with "-"."""
+    abbreviated or repeated flags, and values after a space that start with
+    "-" but are not numbers."""
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
     name, tokens = argv[0], iter(argv[1:])
@@ -337,7 +343,14 @@ def _parse(argv):
         if not eq:
             text = next(tokens, "-")  # a missing value is declined as a dash
         keywords = flags.get(flag)
-        if keywords is None or flag in given or not eq and text.startswith("-"):
+        if keywords is None or flag in given:
+            return None
+        # after a space, a "-" starts a value only where build_parser's
+        # matcher takes it as a number; isdecimal is its \d, as isdigit is not
+        if not eq and text[:1] == "-" and not (
+            text[1:2].isdecimal() or text[1:2] == "." and text[2:3].isdecimal()
+            or text[1:].lower() in ("inf", "infinity", "nan")
+        ):
             return None
         try:
             value = keywords.get("type", str)(text)

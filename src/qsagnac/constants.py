@@ -155,9 +155,8 @@ def _config_regime(
     m: float, r1: float, r2: float, omega1: float, omega2: float, c: float
 ) -> tuple[float, RegimeStatus]:
     """require_valid_config on plain numbers and the speed of light c:
-    (beta, status) of the fastest rim. The sweep kernel calls it per row;
-    calling require_valid_config there costs about 5% of perfbench's
-    sweep_csv throughput."""
+    (beta, status) of the fastest rim. The sweep kernel calls it at the ends
+    of its stretches of one regime."""
     _require_mass(m)
     if not (r1 >= 0 and r2 >= 0):
         raise ValueError("radii must be non-negative")

@@ -17,6 +17,7 @@ from qsagnac import (
     solve_r2,
     sweep,
 )
+from qsagnac import design
 from qsagnac.design import MAX_SWEEP_ROWS
 
 NATURAL = constants_for(UnitSystem.NATURAL)
@@ -213,3 +214,27 @@ def test_spec_validation():
     # a plain tuple of the same values is not a checked configuration
     with pytest.raises(ValueError, match="base"):
         SweepSpec(varying="omega2", start=0.0, stop=1.0, count=3, base=tuple(BASE))
+
+
+def test_the_sweep_gate_runs_once_per_regime_change_not_per_row(monkeypatch):
+    # the kernel gates the ends of stretches of one regime; a call per row
+    # costs about half its time
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return config_regime(*args)
+
+    config_regime = design._config_regime
+    monkeypatch.setattr(design, "_config_regime", counted)
+    rows = sweep(SweepSpec("omega2", 0.009, 0.012, 10**5, BASE))
+    assert {row.regime for row in rows} == {RegimeStatus.OK}
+    assert len(calls) <= 4
+    # rims at beta = 0.1 and 1 fall at |omega2| = 0.1 and 1, on both sides of 0
+    calls.clear()
+    count = 10**5 + 1
+    rows = sweep(SweepSpec("omega2", -3.0, 3.0, count, BASE._replace(r2=0.5)))
+    regimes = [row.regime.value for row in rows]
+    changes = [(a, b) for a, b in zip(regimes, regimes[1:]) if a != b]
+    assert changes == [("error", "warn"), ("warn", "ok"), ("ok", "warn"), ("warn", "error")]
+    assert len(calls) <= 4 * (math.ceil(math.log2(count)) + 2)

@@ -43,7 +43,7 @@ from qsagnac.cli import (
     main,
     to_json,
 )
-from qsagnac.constants import require_valid_config
+from qsagnac.constants import ERROR_BETA, require_valid_config
 from qsagnac.design import VARY_CHOICES, _grid, _require_finite_deltas
 from qsagnac.state import MAXIMAL_TOL
 
@@ -137,8 +137,52 @@ R2_OVERFLOW = SweepSpec("r2", 1.3e154, 1.4e154, 3, InterferometerConfig(
     1.0, 1.3e154, 1.3e154, 1e-170, 2e-170, NATURAL))
 
 
-@settings(max_examples=60, deadline=None)
-@given(BOTH_UNITS)
+def magnitudes(lo, hi):
+    """Positive doubles from 10^lo to 10^(hi + 1), spread over the decades."""
+    return st.builds(lambda f, e: f * 10.0**e,
+                     st.floats(1.0, 10.0), st.integers(lo, hi))
+
+
+SIGNS = st.sampled_from((-1.0, 1.0))
+SQRT_MAX = math.sqrt(sys.float_info.max)  # r * r overflows just past it, 1.34e154
+
+
+@st.composite
+def regime_crossing_sweeps(draw, units):
+    """Sweeps of up to 2000 rows across 0 that, on either side of it, cross
+    the points where the config gate's verdict changes: the fastest rim at
+    WARN_BETA and at ERROR_BETA times c, or, for r2, r2 * r2 overflowing.
+    A mass sweep is ERROR up to 0 and one regime past it. delta stays finite."""
+    c = constants_for(units).c
+    varying = draw(st.sampled_from(VARY_CHOICES))
+    m, spread = draw(magnitudes(-3, 2)), st.floats(0.0, 3.0)
+    if varying == "r2" and draw(st.booleans()):  # rims far below c, r2^2 overflows
+        r1 = SQRT_MAX * draw(st.floats(0.9, 0.999))
+        omega1 = draw(st.floats(0.0, 1e-5)) * c / SQRT_MAX
+        base = InterferometerConfig(m, r1, r1, omega1, -omega1 * draw(st.floats(0.0, 1.0)),
+                                    units)
+        start = -SQRT_MAX * draw(st.floats(0.0, 1.0))
+        stop = SQRT_MAX * draw(st.floats(0.9, 1.08))
+    elif varying == "r2":  # from the frequencies, the radii at the two betas
+        omega1 = draw(SIGNS) * draw(magnitudes(-3, 2))
+        reach = ERROR_BETA * c / abs(omega1)
+        r1 = reach * draw(st.floats(0.0, 0.999))
+        base = InterferometerConfig(m, r1, r1, omega1, -omega1 * draw(st.floats(0.0, 1.0)),
+                                    units)
+        start, stop = -reach * draw(spread), reach * draw(spread)
+    else:  # from the radius, the frequencies at the two betas (mass: one beta)
+        r2 = draw(magnitudes(-3, 2))
+        reach = ERROR_BETA * c / r2
+        omega1 = reach * draw(st.floats(-0.999, 0.999))
+        base = InterferometerConfig(m, r2 * draw(st.floats(0.0, 1.0)), r2, omega1,
+                                    omega1 * draw(st.floats(-1.0, 1.0)), units)
+        scale = reach if varying == "omega2" else m
+        start, stop = -scale * draw(spread), scale * draw(spread)
+    return SweepSpec(varying, start, stop, draw(st.integers(1, 2000)), base)
+
+
+@settings(max_examples=80, deadline=None)
+@given(BOTH_UNITS | regime_crossing_sweeps(NATURAL) | regime_crossing_sweeps(SI))
 @example(R2_OVERFLOW)
 def test_sweep_rows_take_their_regime_from_the_config_gate(spec):
     try:
@@ -178,6 +222,11 @@ def r2_overflow_at_zero_only(count):
     return SweepSpec("r2", -1e154, 1e154, count, config)
 
 
+# the solve.json golden's config and answer, where the kernel's concurrence
+# and entropy are exactly 1.0
+SOLVE_BASE = base(1000.0, 1.0, 1.41421356237, 0.01, 0.0105)
+SOLVED = solve_omega2(*SOLVE_BASE[:4], 0, SOLVE_BASE.constants)
+
 # r2 = -1.25e100, -6e99, 5e98, 7e99: only the first row above 0 overflows
 R2_OVERFLOW_ABOVE_ZERO = SweepSpec(
     "r2", -1.25e100, 0.7e100, 4, base(4.29e207, 1e100, 1e100, 0.5e-100, -0.5e-100))
@@ -200,6 +249,15 @@ R2_OVERFLOW_ABOVE_ZERO = SweepSpec(
 @example(r2_overflow_at_zero_only(3))
 @example(r2_overflow_at_zero_only(4))
 @example(R2_OVERFLOW_ABOVE_ZERO)
+# rows that the CSV template leaves to format_float: integral values up to
+# and past 2^53, 1e16 and 1e17, signed zeros (a value of -0.0, and deltas of
+# -0.0 at values that are not integers), and concurrence and entropy of
+# exactly 1.0 at a solver's answer
+@example(SweepSpec("mass", -2.0**53, 2.0**53, 5, base()))
+@example(SweepSpec("mass", 1e16, 1e17, 10, base()))
+@example(SweepSpec("omega2", -0.02, -0.0, 3, base()))
+@example(SweepSpec("mass", 0.5, 1.5, 3, base(omega2=0.01)))
+@example(SweepSpec("omega2", SOLVED, SOLVED, 1, SOLVE_BASE))
 def test_sweep_rows_equal_the_per_row_reference_bit_for_bit(spec):
     try:
         expected = reference_sweep_rows(spec)
@@ -280,17 +338,10 @@ def test_the_streamed_json_sweep_is_to_json_of_the_rows(spec):
     assert (code, out.getvalue(), err.getvalue()) == (0, expected, "")
 
 
-def magnitudes(lo, hi):
-    """Positive doubles from 10^lo to 10^(hi + 1), spread over the decades."""
-    return st.builds(lambda f, e: f * 10.0**e,
-                     st.floats(1.0, 10.0), st.integers(lo, hi))
-
-
 # decades of m, of the radii and of the frequencies over which delta runs
 # from far below 1 rad to far past double resolution (1.13e6 rad), with rims
 # on both sides of the speed of light
 SCALES = {SI: ((-30, -10), (-4, 0), (0, 5)), NATURAL: ((-3, 6), (-2, 2), (-4, 0))}
-SIGNS = st.sampled_from((-1.0, 1.0))
 K = st.integers(-3, 3) | st.integers(-(10**6), 10**6)
 
 

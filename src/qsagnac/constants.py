@@ -101,41 +101,32 @@ ERROR_BETA = 1.0
 _OK, _WARN, _ERROR = RegimeStatus.OK, RegimeStatus.WARN, RegimeStatus.ERROR
 
 
-def _rim(omega: float, r: float, c: float) -> tuple[float, RegimeStatus]:
-    # (beta, status) of a rim of radius r spun at omega: the one place the
-    # rim speed is computed and compared with WARN_BETA and ERROR_BETA
-    if not r >= 0:  # also refuses a nan radius
-        raise ValueError("radius must be non-negative")
-    beta = abs(omega) * r / c
-    if not beta < ERROR_BETA:
-        return beta, _ERROR
-    if beta > WARN_BETA:
-        return beta, _WARN
-    return beta, _OK
-
-
 def regime_check(omega: float, r: float, consts: ConstantSet) -> RegimeCheck:
     """Classify how far (omega, r) sits from the flat-background regime.
 
     beta <= 0.1 is Ok, 0.1 < beta < 1 is Warn (computation proceeds),
-    beta >= 1 is Error, and so is a nan beta.
+    beta >= 1 is Error, and so is a nan beta. The one place the rim speed
+    is computed and compared with WARN_BETA and ERROR_BETA.
     """
-    return RegimeCheck._make(_rim(omega, r, consts.c))
-
-
-def _linear_rim(omega: float, r: float, c: float) -> tuple[float, RegimeStatus]:
-    beta, status = _rim(omega, r, c)
-    if status is _ERROR:
-        raise ValueError(f"rim speed beta = {beta:g} is outside the linear regime")
-    if math.isinf(r * r):
-        raise ValueError(f"radius {r:g} is too large: r^2 overflows a double")
-    return beta, status
+    if not r >= 0:  # also refuses a nan radius
+        raise ValueError("radius must be non-negative")
+    beta = abs(omega) * r / consts.c
+    if not beta < ERROR_BETA:
+        return RegimeCheck(beta, _ERROR)
+    if beta > WARN_BETA:
+        return RegimeCheck(beta, _WARN)
+    return RegimeCheck(beta, _OK)
 
 
 def require_linear_regime(omega: float, r: float, consts: ConstantSet) -> RegimeCheck:
     """regime_check that raises ValueError when the status is Error or when
     r^2, which every area and metric component carries, overflows a double."""
-    return RegimeCheck._make(_linear_rim(omega, r, consts.c))
+    check = regime_check(omega, r, consts)
+    if check.status is _ERROR:
+        raise ValueError(f"rim speed beta = {check.beta:g} is outside the linear regime")
+    if math.isinf(r * r):
+        raise ValueError(f"radius {r:g} is too large: r^2 overflows a double")
+    return check
 
 
 def _require_mass(m: float) -> None:
@@ -151,27 +142,19 @@ def _require_integer(x, name: str) -> int:
         raise ValueError(f"{name} must be an integer, not {x!r}") from None
 
 
-def _config_regime(
-    m: float, r1: float, r2: float, omega1: float, omega2: float, c: float
-) -> tuple[float, RegimeStatus]:
-    """require_valid_config on plain numbers and the speed of light c:
-    (beta, status) of the fastest rim. The sweep kernel calls it at the ends
-    of its stretches of one regime."""
+def require_valid_config(
+    m: float, r1: float, r2: float, omega1: float, omega2: float, consts: ConstantSet
+) -> RegimeCheck:
+    """Raise ValueError unless the parameters form a valid configuration:
+    positive finite mass, non-negative radii, every branch rim below light
+    speed, and max(r1, r2)^2 finite.
+
+    Returns the regime of the fastest rim. A nan anywhere is refused.
+    """
     _require_mass(m)
     if not (r1 >= 0 and r2 >= 0):
         raise ValueError("radii must be non-negative")
     # max() below would drop a nan omega2, so test both frequencies here
     if math.isnan(omega1) or math.isnan(omega2):
         raise ValueError("frequencies must be numbers")
-    return _linear_rim(max(abs(omega1), abs(omega2)), max(r1, r2), c)
-
-
-def require_valid_config(
-    m: float, r1: float, r2: float, omega1: float, omega2: float, consts: ConstantSet
-) -> RegimeCheck:
-    """Raise ValueError unless the parameters form a valid configuration:
-    positive finite mass, non-negative radii, every branch rim below light speed.
-
-    Returns the regime of the fastest rim. A nan anywhere is refused.
-    """
-    return RegimeCheck._make(_config_regime(m, r1, r2, omega1, omega2, consts.c))
+    return require_linear_regime(max(abs(omega1), abs(omega2)), max(r1, r2), consts)

@@ -17,7 +17,6 @@ from .constants import (
     ConstantSet,
     RegimeStatus,
     _Checked,
-    _config_regime,
     _require_integer,
     _require_mass,
     require_valid_config,
@@ -140,11 +139,11 @@ def _grid(start: float, stop: float, count: int, at=None) -> list[float]:
     return values
 
 
-def _regime(numbers: list, c: float) -> RegimeStatus:
+def _regime(numbers: list, consts: ConstantSet) -> RegimeStatus:
     """The config gate's regime for numbers = [m, r1, r2, omega1, omega2],
     ERROR where the gate refuses them."""
     try:
-        return _config_regime(*numbers, c)[1]
+        return require_valid_config(*numbers, consts).status
     except ValueError:
         return RegimeStatus.ERROR
 
@@ -160,7 +159,7 @@ def _sweep_values(spec: SweepSpec):
     4-6% of perfbench's sweep_csv throughput.
 
     The gate runs only at the ends of stretches of the grid, which ascends.
-    The swept value enters _config_regime only through m > 0, r2 >= 0,
+    The swept value enters require_valid_config only through m > 0, r2 >= 0,
     |omega2|, max(r1, r2), max(|omega1|, |omega2|) * r / c and r * r, each
     monotone in it on either side of 0, in floating point too, since each
     operation is correctly rounded. So up to 0 the verdict never gets
@@ -172,7 +171,7 @@ def _sweep_values(spec: SweepSpec):
     numbers = list(spec.base[:5])  # m, r1, r2, omega1, omega2
     position = _VARY_POSITIONS[spec.varying]
     consts = spec.base.constants
-    c, hbar, pi = consts.c, consts.hbar, math.pi
+    hbar, pi = consts.hbar, math.pi
     sin, sqrt, log2, isfinite = math.sin, math.sqrt, math.log2, math.isfinite
     grid = _grid(spec.start, spec.stop, spec.count)
     split = bisect_right(grid, 0.0)
@@ -183,16 +182,16 @@ def _sweep_values(spec: SweepSpec):
     for i, j in (split, len(grid) - 1), (0, split - 1):
         if i <= j:
             numbers[position] = grid[j]
-            last = _regime(numbers, c)
+            last = _regime(numbers, consts)
             numbers[position] = grid[i]
-            todo += (j, j + 1, last, last), (i, j, _regime(numbers, c), last)
+            todo += (j, j + 1, last, last), (i, j, _regime(numbers, consts), last)
     values = iter(grid)
     while todo:
         i, j, regime, last = todo.pop()
         if regime is not last and j > i + 1:  # the regime changes within
             mid = (i + j) // 2
             numbers[position] = grid[mid]
-            middle = _regime(numbers, c)
+            middle = _regime(numbers, consts)
             todo += (mid, j, middle, last), (i, mid, regime, middle)
             continue
         for value in islice(values, j - i):

@@ -3,7 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from qsagnac import ConstantSet, RegimeStatus, UnitSystem, constants_for, regime_check
+from qsagnac import (
+    ConstantSet,
+    InterferometerConfig,
+    RegimeStatus,
+    UnitSystem,
+    constants_for,
+    regime_check,
+    rotating_disk_metric,
+    sagnac_phase,
+)
+from qsagnac import constants
+from qsagnac.constants import require_linear_regime, require_valid_config
 
 NATURAL = constants_for(UnitSystem.NATURAL)
 SI = constants_for(UnitSystem.SI)
@@ -105,3 +116,68 @@ def test_regime_check_is_monotone():
         base = rank[regime_check(omega, r, NATURAL).status]
         assert rank[regime_check(omega * grow, r, NATURAL).status] >= base
         assert rank[regime_check(omega, r * grow, NATURAL).status] >= base
+
+
+@pytest.mark.parametrize(
+    "gate,args,message",
+    [
+        (regime_check, (0.1, -1.0), "radius must be non-negative"),
+        (regime_check, (0.1, math.nan), "radius must be non-negative"),
+        (require_linear_regime, (0.1, -1.0), "radius must be non-negative"),
+        (require_linear_regime, (1.0, 1.0), "rim speed beta = 1 is outside the linear regime"),
+        (require_linear_regime, (math.nan, 1.0),
+         "rim speed beta = nan is outside the linear regime"),
+        (require_linear_regime, (0.0, 1e200),
+         "radius 1e+200 is too large: r^2 overflows a double"),
+        (require_valid_config, (0.0, 1.0, 1.0, 0.1, 0.1), "mass must be positive and finite"),
+        (require_valid_config, (-1.0, 1.0, 1.0, 0.1, 0.1), "mass must be positive and finite"),
+        (require_valid_config, (math.inf, 1.0, 1.0, 0.1, 0.1),
+         "mass must be positive and finite"),
+        (require_valid_config, (math.nan, 1.0, 1.0, 0.1, 0.1),
+         "mass must be positive and finite"),
+        (require_valid_config, (1.0, -1.0, 1.0, 0.1, 0.1), "radii must be non-negative"),
+        (require_valid_config, (1.0, 1.0, math.nan, 0.1, 0.1), "radii must be non-negative"),
+        # max(|omega1|, |omega2|) would drop this nan
+        (require_valid_config, (1.0, 1.0, 1.0, 0.1, math.nan), "frequencies must be numbers"),
+        (require_valid_config, (1.0, 1.0, 2.0, 0.1, -0.6),
+         "rim speed beta = 1.2 is outside the linear regime"),
+        (require_valid_config, (1.0, 1e200, 1.0, 0.0, 0.0),
+         "radius 1e+200 is too large: r^2 overflows a double"),
+    ],
+)
+def test_the_gate_refuses_in_its_own_words(gate, args, message):
+    with pytest.raises(ValueError) as refused:
+        gate(*args, NATURAL)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "units,m,r,omega",
+    [
+        (UnitSystem.NATURAL, 1.0, 1.0, 0.0),
+        (UnitSystem.NATURAL, 1.0, 1.0, 0.1),
+        (UnitSystem.NATURAL, 1000.0, 1.41421356, -0.25),
+        (UnitSystem.SI, 1e-21, 0.01, 1e3),
+    ],
+)
+def test_each_gate_builds_on_the_one_before(monkeypatch, units, m, r, omega):
+    consts = constants_for(units)
+    check = regime_check(omega, r, consts)
+    assert require_valid_config(m, r, r, omega, omega, consts) == check
+    assert require_linear_regime(omega, r, consts) == check
+    # every public entry point reaches the rim speed through regime_check
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check
+
+    monkeypatch.setattr(constants, "regime_check", counted)
+    seen = []
+    InterferometerConfig(m, r, r, omega, omega, units)
+    seen.append(len(calls))
+    rotating_disk_metric(omega, r, consts)
+    seen.append(len(calls))
+    sagnac_phase(m, omega, r, consts)
+    seen.append(len(calls))
+    assert seen == [1, 2, 3]

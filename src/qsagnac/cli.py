@@ -330,9 +330,11 @@ def build_parser():
 
 def _parse(argv):
     """The namespace build_parser().parse_args(argv) gives, read from
-    _SUBCOMMANDS, or None for argv that argparse must settle: help, errors,
-    abbreviated or repeated flags, and values after a space that start with
-    "-" but are not numbers."""
+    _SUBCOMMANDS, or None for argv that argparse must settle: help, errors
+    and abbreviated flags. A repeated flag keeps its last value, as there. A
+    value after a space that starts with "-" needs no test: each converter
+    takes such a text only as -<digit>... or -.<digit>..., which
+    build_parser's matcher reads as a value, and no choice starts with "-"."""
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
     name, tokens = argv[0], iter(argv[1:])
@@ -341,16 +343,9 @@ def _parse(argv):
     for token in tokens:
         flag, eq, text = token.partition("=")
         if not eq:
-            text = next(tokens, "-")  # a missing value is declined as a dash
+            text = next(tokens, "-")  # missing: no converter or choice takes "-"
         keywords = flags.get(flag)
-        if keywords is None or flag in given:
-            return None
-        # after a space, a "-" starts a value only where build_parser's
-        # matcher takes it as a number; isdecimal is its \d, as isdigit is not
-        if not eq and text[:1] == "-" and not (
-            text[1:2].isdecimal() or text[1:2] == "." and text[2:3].isdecimal()
-            or text[1:].lower() in ("inf", "infinity", "nan")
-        ):
+        if keywords is None:
             return None
         try:
             value = keywords.get("type", str)(text)

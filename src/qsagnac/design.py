@@ -155,8 +155,9 @@ def _sweep_values(spec: SweepSpec):
     the row, and delta, concurrence and entropy repeat the operations of
     entangling_phase_value, concurrence_from_delta and
     entropy_from_concurrence one for one, so every bit matches them (a
-    property test pins the two together). Calling the three per row costs
-    4-6% of perfbench's sweep_csv throughput.
+    property test pins the two together). Only the entropy's clamp of
+    1 - c^2 at 0 is left out, since |sin| <= 1 keeps it idle. Calling the
+    three per row costs 4-6% of perfbench's sweep_csv throughput.
 
     The gate runs only at the ends of stretches of the grid, which ascends.
     The swept value enters require_valid_config only through m > 0, r2 >= 0,
@@ -203,7 +204,7 @@ def _sweep_values(spec: SweepSpec):
                     f"delta = {delta} is not finite at {spec.varying} = {value:g}"
                 )
             conc = abs(sin(0.5 * delta))
-            gap = sqrt(max(0.0, 1.0 - conc * conc))
+            gap = sqrt(1.0 - conc * conc)
             hi, lo = 0.5 * (1.0 + gap), 0.5 * (1.0 - gap)
             entropy = 0.0 - hi * log2(hi)  # hi >= 0.5; 0.0 - x turns -0.0 into 0.0
             if lo > 0.0:
@@ -214,19 +215,22 @@ def _sweep_values(spec: SweepSpec):
 def _require_finite_deltas(spec: SweepSpec) -> None:
     """Raise before any row is made what _sweep_values(spec) would raise part
     way through, a non-finite delta. delta is linear in m and in omega2, and
-    |r1^2 - r2^2| peaks at an end or at r2 = 0, so the kernel is run at the
-    two ends and at the points either side of 0 of an r2 grid that crosses it
-    (a property test pins this against the whole sweep)."""
+    |r1^2 - r2^2| peaks at an end or at r2 = 0, so entangling_phase_value,
+    whose bits the kernel's delta matches, is computed at the two ends and at
+    the points either side of 0 of an r2 grid that crosses it (a property
+    test pins this against the whole sweep)."""
     start, stop, count = spec.start, spec.stop, spec.count
+    numbers = list(spec.base[:5])  # m, r1, r2, omega1, omega2
+    position = _VARY_POSITIONS[spec.varying]
     at = {0, count - 1}
     if spec.varying == "r2" and start < 0 < stop:
         below = int(-start / (stop - start) * (count - 1))  # off by at most one
         at.update(range(below - 1, below + 3))
-    try:
-        for value in _grid(start, stop, count, at):
-            next(_sweep_values(spec._replace(start=value, stop=value, count=1)))
-    except ValueError:  # refuse in the kernel's words, naming the first such row
-        deque(_sweep_values(spec), maxlen=0)
+    for value in _grid(start, stop, count, at):
+        numbers[position] = value
+        if not math.isfinite(entangling_phase_value(*numbers, spec.base.constants)):
+            # refuse in the kernel's words, naming the first such row
+            deque(_sweep_values(spec), maxlen=0)
 
 
 def sweep(spec: SweepSpec) -> list[SweepRow]:

@@ -364,6 +364,39 @@ def test_negative_non_finite_values_are_named(capsys):
         assert run(capsys, *argv, "--omega", value) == joined, value
 
 
+def test_the_fast_path_takes_repeated_flags_and_negative_values(capsys):
+    # a repeated flag keeps its last value, as in argparse
+    golden = GOLDEN_INVOCATIONS["entangle.json"]
+    repeated = [*golden[:3], "--m", "1", *golden[3:]]  # --m 1 ... --m 1000
+    assert run(capsys, *repeated) == (0, (GOLDEN_DIR / "entangle.json").read_text(), "")
+    negative = ["phase", "--m", "1e-20", "--omega", "-1e3", "--r", "0.01"]
+    for argv in repeated, negative:
+        _, others = bare_python(MODULES_PROBE, *argv).split("|")
+        assert "argparse" not in others.split(), argv
+
+
+def test_every_flag_value_passes_a_converter_or_a_choice():
+    # the fast path reads a value after a space that starts with "-" as
+    # argparse does only because each converter takes such a text just in the
+    # forms argparse reads as numbers, and no choice starts with "-"; a
+    # free-text flag would part the two
+    for name, (_, flags) in cli._SUBCOMMANDS.items():
+        for flag, keywords in flags.items():
+            assert "type" in keywords or "choices" in keywords, (name, flag)
+            choices = keywords.get("choices", ())
+            assert not any(c.startswith("-") for c in choices), (name, flag)
+
+
+def test_an_abbreviated_flag_takes_a_negative_value_through_argparse(capsys):
+    # the fast path declines an abbreviation, so "-1e3" after --omeg is read
+    # by build_parser's negative-number matcher, its one job left on success
+    argv = ["phase", "--m", "1e-20", "--omeg", "-1e3", "--r", "0.01"]
+    assert cli._parse(argv) is None
+    joined = run(capsys, "phase", "--m", "1e-20", "--omega=-1e3", "--r", "0.01")
+    assert joined[0] == 0
+    assert run(capsys, *argv) == joined
+
+
 def test_state_amplitudes_as_re_im_pairs(capsys):
     code, out, _ = run(capsys, "state", "--units", "natural", "--m", "1000",
                        "--r1", "1", "--r2", "1.41421356237",

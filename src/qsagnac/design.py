@@ -75,6 +75,20 @@ def _require_solution(
         )
 
 
+def _require_resolvable(x: float, slope: float) -> None:
+    # A solver answer x moves delta by slope = |d delta / dx| per unit, and
+    # near (2k+1) pi, 1 - |sin(delta/2)| is about (delta - (2k+1) pi)^2 / 8.
+    # So every double within 8 ulp of the exact answer reaches
+    # 1 - MAXIMAL_TOL only while 8 ulp(x) slope <= sqrt(8 MAXIMAL_TOL); past
+    # that, the returned double is not the answer to within its own rounding.
+    shift = 8.0 * math.ulp(x) * slope
+    if shift > math.sqrt(8.0 * MAXIMAL_TOL):
+        raise ValueError(
+            f"solution not resolvable in double precision: 8 ulp of it shift "
+            f"delta by {shift:.3g} rad"
+        )
+
+
 def _odd(k: int) -> float:
     """2k + 1 as a double, for the odd multiple of pi that k picks."""
     k = _require_integer(k, "k")
@@ -98,6 +112,7 @@ def solve_omega2(
         raise ValueError("no solution: 2 m (A1 - A2) is zero")
     omega2 = omega1 - _odd(k) * math.pi * consts.hbar / denominator
     _require_solution(m, r1, r2, omega1, omega2, consts)
+    _require_resolvable(omega2, abs(denominator) / consts.hbar)
     return omega2
 
 
@@ -117,6 +132,7 @@ def solve_r2(
         raise ValueError("no real radius for this k")
     r2 = math.sqrt(radicand)
     _require_solution(m, r1, r2, omega1, omega2, consts)
+    _require_resolvable(r2, 2.0 * math.pi * abs(denominator) * r2 / consts.hbar)
     return r2
 
 

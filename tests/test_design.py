@@ -45,11 +45,17 @@ def test_solve_omega2_solution_is_maximally_entangling():
         units=UnitSystem.NATURAL,
     )
     assert abs(concurrence(assemble_full_state(cfg)) - 1.0) <= 1e-9
-    # SI probe whose detuning, 2.5e-9 rad/s on omega1 = 1e3, is still
-    # resolved by a double
-    omega2 = solve_omega2(1e-21, 0.01, 0.011, 1e3, 0, SI)
-    delta = entangling_phase_value(1e-21, 0.01, 0.011, 1e3, omega2, SI)
+    # SI probe whose detuning, 2.5e-6 rad/s on omega1 = 1e3, a double
+    # resolves: 8 ulp of the answer shift delta by 1.1e-6 rad, 0.013 of the
+    # 8.9e-5 rad that keeps the state within 1e-9 of maximal
+    omega2 = solve_omega2(1e-24, 0.01, 0.011, 1e3, 0, SI)
+    delta = entangling_phase_value(1e-24, 0.01, 0.011, 1e3, omega2, SI)
     assert 1.0 - concurrence_from_delta(delta) <= 1e-9
+    # at m = 1e-21 the detuning is 2.5e-9 rad/s and 8 ulp shift delta by
+    # 1.1e-3 rad: the exact answer, 1000.0000000025108853 (mpmath), has
+    # doubles within 8 ulp that fall below 1 - 1e-9, so it is refused
+    with pytest.raises(ValueError, match="not resolvable in double precision"):
+        solve_omega2(1e-21, 0.01, 0.011, 1e3, 0, SI)
 
 
 def test_solve_omega2_errors():

@@ -381,6 +381,12 @@ def assert_maximal_config(m, r1, r2, omega1, omega2, consts):
     assert 1.0 - concurrence_from_delta(delta) <= MAXIMAL_TOL
 
 
+def assert_resolvable(x, slope):
+    """8 ulp of the answer x, which moves delta by slope per unit, keep
+    1 - |sin(delta/2)| ~ (delta - (2k+1) pi)^2 / 8 within MAXIMAL_TOL."""
+    assert 8.0 * math.ulp(x) * slope <= math.sqrt(8.0 * MAXIMAL_TOL)
+
+
 @settings(max_examples=300, deadline=None)
 @given(parameters(), K)
 @example(WORKED, 0)
@@ -392,12 +398,17 @@ def test_every_solver_answer_is_a_maximal_valid_config_or_refused(args, k):
         pass
     else:
         assert_maximal_config(m, r1, r2, omega1, solved, consts)
+        # d delta / d omega2 = (2m/hbar) |A1 - A2|
+        assert_resolvable(solved, 2.0 * m * math.pi * abs(r1 * r1 - r2 * r2) / consts.hbar)
     try:
         solved = solve_r2(m, r1, omega1, omega2, k, consts)
     except ValueError:
         pass
     else:
         assert_maximal_config(m, r1, solved, omega1, omega2, consts)
+        # d delta / d r2 = (4 pi m/hbar) |omega1 - omega2| r2
+        assert_resolvable(
+            solved, 4.0 * math.pi * m * abs(omega1 - omega2) * solved / consts.hbar)
 
 
 # flag values: finite doubles, the ends of the double range, signed zeros and

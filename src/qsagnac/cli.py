@@ -331,9 +331,9 @@ def build_parser():
 def _parse(argv):
     """The namespace build_parser().parse_args(argv) gives, read from
     _SUBCOMMANDS, or None for argv that argparse must settle: help, errors
-    and abbreviated flags. A repeated flag keeps its last value, as there. A
-    value after a space that starts with "-" needs no test: each converter
-    takes such a text only as -<digit>... or -.<digit>..., which
+    and abbreviated flags. A repeated flag keeps its last value, as in
+    argparse. A value after a space that starts with "-" needs no test: each
+    converter takes such a text only as -<digit>... or -.<digit>..., which
     build_parser's matcher reads as a value, and no choice starts with "-"."""
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None

@@ -61,32 +61,23 @@ class SweepSpec(_Checked, namedtuple("SweepSpec", "varying start stop count base
 SweepRow = namedtuple("SweepRow", "value delta concurrence entropy_bits regime")
 
 
-def _require_solution(
-    m: float, r1: float, r2: float, omega1: float, omega2: float, consts: ConstantSet
-) -> None:
-    # A solver answer must form a valid configuration. One past double
-    # resolution (omega1 - omega2 or r1^2 - r2^2 lost to rounding) misses
-    # (2k+1) pi; refuse it rather than return it.
-    require_valid_config(m, r1, r2, omega1, omega2, consts)
-    c = concurrence_from_delta(entangling_phase_value(m, r1, r2, omega1, omega2, consts))
-    if not 1.0 - c <= MAXIMAL_TOL:  # also refuses a nan delta
-        raise ValueError(
-            f"solution not resolvable in double precision: concurrence {c:.9g}"
-        )
-
-
-def _require_resolvable(x: float, slope: float) -> None:
-    # A solver answer x moves delta by slope = |d delta / dx| per unit, and
-    # near (2k+1) pi, 1 - |sin(delta/2)| is about (delta - (2k+1) pi)^2 / 8.
-    # So every double within 8 ulp of the exact answer reaches
-    # 1 - MAXIMAL_TOL only while 8 ulp(x) slope <= sqrt(8 MAXIMAL_TOL); past
-    # that, the returned double is not the answer to within its own rounding.
-    shift = 8.0 * math.ulp(x) * slope
-    if shift > math.sqrt(8.0 * MAXIMAL_TOL):
-        raise ValueError(
-            f"solution not resolvable in double precision: 8 ulp of it shift "
-            f"delta by {shift:.3g} rad"
-        )
+def _require_solution(numbers: list, position: int, consts: ConstantSet) -> None:
+    # A solver answer x = numbers[position] must form a valid configuration,
+    # and x and the doubles 8 ulp either side of it must each reach
+    # concurrence 1 - MAXIMAL_TOL, or x is not the answer to within its own
+    # rounding: refuse it rather than return it. delta is monotone in x and
+    # |sin(delta/2)| is concave between its zeros, so the worst double of the
+    # window is at one of its ends; x itself goes first, which also catches
+    # a window so wide that its ends wrap to odd multiples of pi.
+    require_valid_config(*numbers, consts)
+    x = numbers[position]
+    for value in x, x - 8.0 * math.ulp(x), x + 8.0 * math.ulp(x):
+        numbers[position] = value
+        c = concurrence_from_delta(entangling_phase_value(*numbers, consts))
+        if not 1.0 - c <= MAXIMAL_TOL:  # also refuses a nan delta
+            raise ValueError(
+                f"solution not resolvable in double precision: concurrence {c:.12g}"
+            )
 
 
 def _odd(k: int) -> float:
@@ -111,8 +102,7 @@ def solve_omega2(
     if denominator == 0:
         raise ValueError("no solution: 2 m (A1 - A2) is zero")
     omega2 = omega1 - _odd(k) * math.pi * consts.hbar / denominator
-    _require_solution(m, r1, r2, omega1, omega2, consts)
-    _require_resolvable(omega2, abs(denominator) / consts.hbar)
+    _require_solution([m, r1, r2, omega1, omega2], _VARY_POSITIONS["omega2"], consts)
     return omega2
 
 
@@ -131,8 +121,7 @@ def solve_r2(
     if radicand < 0:
         raise ValueError("no real radius for this k")
     r2 = math.sqrt(radicand)
-    _require_solution(m, r1, r2, omega1, omega2, consts)
-    _require_resolvable(r2, 2.0 * math.pi * abs(denominator) * r2 / consts.hbar)
+    _require_solution([m, r1, r2, omega1, omega2], _VARY_POSITIONS["r2"], consts)
     return r2
 
 

@@ -46,16 +46,38 @@ def test_solve_omega2_solution_is_maximally_entangling():
     )
     assert abs(concurrence(assemble_full_state(cfg)) - 1.0) <= 1e-9
     # SI probe whose detuning, 2.5e-6 rad/s on omega1 = 1e3, a double
-    # resolves: 8 ulp of the answer shift delta by 1.1e-6 rad, 0.013 of the
-    # 8.9e-5 rad that keeps the state within 1e-9 of maximal
+    # resolves: the answer and the doubles 8 ulp either side of it each
+    # stay within 2e-13 of maximal, well inside 1e-9
     omega2 = solve_omega2(1e-24, 0.01, 0.011, 1e3, 0, SI)
     delta = entangling_phase_value(1e-24, 0.01, 0.011, 1e3, omega2, SI)
     assert 1.0 - concurrence_from_delta(delta) <= 1e-9
-    # at m = 1e-21 the detuning is 2.5e-9 rad/s and 8 ulp shift delta by
-    # 1.1e-3 rad: the exact answer, 1000.0000000025108853 (mpmath), has
-    # doubles within 8 ulp that fall below 1 - 1e-9, so it is refused
+    # at m = 1e-21 the detuning is 2.5e-9 rad/s: the answer itself is within
+    # 1e-12 of maximal, but the doubles 8 ulp either side of it fall 1.6e-7
+    # below, as do those of the exact answer, 1000.0000000025108853 (mpmath),
+    # so it is refused
     with pytest.raises(ValueError, match="not resolvable in double precision"):
         solve_omega2(1e-21, 0.01, 0.011, 1e3, 0, SI)
+
+
+# SI requests that perfbench's mpmath oracle calls unanswerable. Each answer
+# is itself maximal, but a double 8 ulp from it falls 0.2e-10 to 1.3e-10
+# below concurrence 1 - 1e-9, a margin that a leading-order bound on 8 ulp's
+# shift of delta let through
+@pytest.mark.parametrize("solver, args", [
+    (solve_omega2, (2.983214149763786e-24, 0.035721182523165605,
+                    0.027003194935392515, 1022.6871376305586, 1)),
+    (solve_omega2, (5.883567780039516e-22, 0.0067695208674070344,
+                    0.007159728716917019, 328.0935683924417, 1)),
+    (solve_omega2, (1.6170281508230732e-21, 0.002665379280126183,
+                    0.0033350237517671905, -254.74510184594115, 2)),
+    (solve_r2, (7.114530156366735e-19, 0.57022584651213, -1309.4253548734566,
+                -1309.4253569473594, 0)),
+    (solve_r2, (1.6782558183398555e-18, 0.15268760965672168, 3779.7766568225384,
+                3779.7766437273317, 0)),
+])
+def test_an_answer_with_an_unresolved_neighbour_is_refused(solver, args):
+    with pytest.raises(ValueError, match="double precision"):
+        solver(*args, SI)
 
 
 def test_solve_omega2_errors():

@@ -12,6 +12,7 @@ import string
 import struct
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -381,10 +382,18 @@ def assert_maximal_config(m, r1, r2, omega1, omega2, consts):
     assert 1.0 - concurrence_from_delta(delta) <= MAXIMAL_TOL
 
 
-def assert_resolvable(x, slope):
-    """8 ulp of the answer x, which moves delta by slope per unit, keep
-    1 - |sin(delta/2)| ~ (delta - (2k+1) pi)^2 / 8 within MAXIMAL_TOL."""
-    assert 8.0 * math.ulp(x) * slope <= math.sqrt(8.0 * MAXIMAL_TOL)
+def assert_resolved(numbers, position, consts):
+    """The answer x = numbers[position] and the doubles 8 ulp either side of
+    it each reach concurrence 1 - MAXIMAL_TOL, with delta taken exactly for
+    the double inputs (perfbench's oracle calls such an answer answerable)."""
+    x = numbers[position]
+    with mpmath.workdps(50):
+        for value in x, x - 8.0 * math.ulp(x), x + 8.0 * math.ulp(x):
+            numbers[position] = value
+            m, r1, r2, omega1, omega2 = map(mpmath.mpf, numbers)
+            delta = 2 * m * (omega1 - omega2) * mpmath.pi * (r1 * r1 - r2 * r2)
+            concurrence = abs(mpmath.sin(delta / mpmath.mpf(consts.hbar) / 2))
+            assert 1 - concurrence <= MAXIMAL_TOL, numbers
 
 
 @settings(max_examples=300, deadline=None)
@@ -398,17 +407,14 @@ def test_every_solver_answer_is_a_maximal_valid_config_or_refused(args, k):
         pass
     else:
         assert_maximal_config(m, r1, r2, omega1, solved, consts)
-        # d delta / d omega2 = (2m/hbar) |A1 - A2|
-        assert_resolvable(solved, 2.0 * m * math.pi * abs(r1 * r1 - r2 * r2) / consts.hbar)
+        assert_resolved([m, r1, r2, omega1, solved], 4, consts)
     try:
         solved = solve_r2(m, r1, omega1, omega2, k, consts)
     except ValueError:
         pass
     else:
         assert_maximal_config(m, r1, solved, omega1, omega2, consts)
-        # d delta / d r2 = (4 pi m/hbar) |omega1 - omega2| r2
-        assert_resolvable(
-            solved, 4.0 * math.pi * m * abs(omega1 - omega2) * solved / consts.hbar)
+        assert_resolved([m, r1, solved, omega1, omega2], 2, consts)
 
 
 # flag values: finite doubles, the ends of the double range, signed zeros and

@@ -381,6 +381,11 @@ def main(argv=None) -> int:
     if args is None:  # so every usage text, message and exit code is argparse's
         try:
             args = build_parser().parse_args(argv)
+            # argparse on Python 3.10 and 3.11 strips "--" from --flag=-- and
+            # stores [] unconverted; parsing the bare flag exits 2 naming it
+            for name, value in vars(args).items():
+                if value == []:
+                    build_parser().parse_args([args.command, f"--{name}"])
         except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
             return int(exc.code or 0)
     message = _validate(args)

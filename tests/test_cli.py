@@ -544,6 +544,26 @@ def test_argument_errors_exit_2(capsys):
         assert err != ""
 
 
+def with_double_dash(name, flag):
+    """A golden argv of subcommand name, with flag given as flag=--, which
+    argparse on Python 3.10 and 3.11 stores as [] without its converter."""
+    argvs = [argv for argv in GOLDEN_INVOCATIONS.values() if argv[0] == name]
+    argv = list(next((argv for argv in argvs if flag in argv), argvs[0]))
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    return argv + [f"{flag}=--"]
+
+
+@pytest.mark.parametrize("name, flag", [
+    (name, flag) for name, (_, flags) in cli._SUBCOMMANDS.items() for flag in flags
+])
+def test_an_explicit_double_dash_value_is_an_argument_error(capsys, name, flag):
+    code, out, err = run(capsys, *with_double_dash(name, flag))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:") and "Traceback" not in err
+    assert f"argument {flag}:" in err
+
+
 def test_the_parser_declares_the_pinned_interface():
     # every flag's order, type, default, choices and help, each subcommand's
     # help line and hydrogen's one required group: a reordered flag changes a

@@ -59,10 +59,9 @@ def test_solve_omega2_solution_is_maximally_entangling():
         solve_omega2(1e-21, 0.01, 0.011, 1e3, 0, SI)
 
 
-# SI requests that perfbench's mpmath oracle calls unanswerable. Each answer
+# SI requests that perfbench's mpmath oracle calls unanswerable: each answer
 # is itself maximal, but a double 8 ulp from it falls 0.2e-10 to 1.3e-10
-# below concurrence 1 - 1e-9, a margin that a leading-order bound on 8 ulp's
-# shift of delta let through
+# below concurrence 1 - 1e-9
 @pytest.mark.parametrize("solver, args", [
     (solve_omega2, (2.983214149763786e-24, 0.035721182523165605,
                     0.027003194935392515, 1022.6871376305586, 1)),

@@ -8,8 +8,6 @@ success, 1 domain error (diagnostic on stderr) or a reader that closed the
 pipe early, 2 argument error.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import sys

@@ -14,8 +14,6 @@ electron scales are m_e = 1 and a0 = 1/alpha, which preserves the exact
 relation a0 = hbar / (m_e c alpha) in both systems.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from collections import namedtuple

@@ -6,8 +6,6 @@ maximally entangled) come out in closed form. Sweeps map the concurrence
 landscape around those solutions.
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_right
 from collections import deque, namedtuple

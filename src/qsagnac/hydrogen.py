@@ -7,8 +7,6 @@ Bohr quantization m_e omega r^2 = n hbar makes the single-factor phase
 m_e omega A / hbar equal pi n exactly, order one already at n = 1.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

@@ -7,8 +7,6 @@ diag(-1, 1, r^2, 1), so the perturbation h = g - background carries
 h00 = omega^2 r^2 / c^2.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .constants import ConstantSet, require_linear_regime

@@ -13,8 +13,6 @@ loop_phase at one radius and entangling_phase_value for the double
 difference between two radii and two frequencies.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

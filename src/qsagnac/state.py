@@ -17,8 +17,6 @@ with concurrence |sin(delta/2)|: zero for the initial product form
 target |r1>(|omega1> + |omega2>) + |r2>(|omega1> - |omega2>).
 """
 
-from __future__ import annotations
-
 import cmath
 import math
 from collections import namedtuple

@@ -152,7 +152,10 @@ def require_valid_config(
     _require_mass(m)
     if not (r1 >= 0 and r2 >= 0):
         raise ValueError("radii must be non-negative")
-    # max() below would drop a nan omega2, so test both frequencies here
+    # the maxima below would drop a nan omega2, so test both frequencies here
     if math.isnan(omega1) or math.isnan(omega2):
         raise ValueError("frequencies must be numbers")
-    return require_linear_regime(max(abs(omega1), abs(omega2)), max(r1, r2), consts)
+    # each maximum picks as max(a, b) does (b only if b > a); the two
+    # builtin calls took about a fifth of this gate's time
+    w1, w2 = abs(omega1), abs(omega2)
+    return require_linear_regime(w2 if w2 > w1 else w1, r2 if r2 > r1 else r1, consts)

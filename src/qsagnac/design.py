@@ -69,7 +69,8 @@ def _require_solution(numbers: list, position: int, consts: ConstantSet) -> None
     # a window so wide that its ends wrap to odd multiples of pi.
     require_valid_config(*numbers, consts)
     x = numbers[position]
-    for value in x, x - 8.0 * math.ulp(x), x + 8.0 * math.ulp(x):
+    step = 8.0 * math.ulp(x)
+    for value in x, x - step, x + step:
         numbers[position] = value
         c = concurrence_from_delta(entangling_phase_value(*numbers, consts))
         if not 1.0 - c <= MAXIMAL_TOL:  # also refuses a nan delta

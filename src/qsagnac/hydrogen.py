@@ -25,11 +25,14 @@ BohrOrbit = namedtuple("BohrOrbit", "n r omega area")
 # loop_phase  (2 m_e / hbar) omega A from the loop-phase law; 2x estimate
 HydrogenPhases = namedtuple("HydrogenPhases", "estimate loop_phase")
 
+# bound once: bohr_orbit compares against it on every orbit
+_SI = constants_for(UnitSystem.SI)
+
 
 def bohr_orbit(n: int, consts: ConstantSet) -> BohrOrbit:
     """Circular Bohr orbit for integer principal quantum number n >= 1."""
     # Atomic-scale claims only make sense against the real constants.
-    if consts != constants_for(UnitSystem.SI):
+    if consts != _SI:  # by value, so an equal ConstantSet passes
         raise ValueError("hydrogen estimates require the SI constant set")
     n = _require_integer(n, "quantum number")
     if n < 1:
@@ -39,7 +42,7 @@ def bohr_orbit(n: int, consts: ConstantSet) -> BohrOrbit:
         omega = consts.alpha * consts.c / ((n**3) * consts.a0)
     except OverflowError:
         raise ValueError("quantum number is too large for a double") from None
-    return BohrOrbit(n=n, r=r, omega=omega, area=math.pi * r * r)
+    return BohrOrbit(n, r, omega, math.pi * r * r)
 
 
 def hydrogen_phase(n: int, consts: ConstantSet) -> HydrogenPhases:
@@ -47,7 +50,7 @@ def hydrogen_phase(n: int, consts: ConstantSet) -> HydrogenPhases:
     and the full loop-phase-law value, which is exactly twice as large."""
     orbit = bohr_orbit(n, consts)
     phi = loop_phase(consts.m_e, orbit.omega, orbit.r, consts)
-    return HydrogenPhases(estimate=0.5 * phi, loop_phase=phi)
+    return HydrogenPhases(0.5 * phi, phi)
 
 
 def hydrogen_pair_report(n1: int, n2: int, consts: ConstantSet) -> EntanglementReport:

@@ -49,12 +49,13 @@ def sagnac_phase(m: float, omega: float, r: float, consts: ConstantSet) -> Phase
     loop time flagged as None.
     """
     check = require_valid_config(m, r, r, omega, omega, consts)
+    beta = check.beta
     return PhaseResult(
-        phi=loop_phase(m, omega, r, consts),
-        t_loop=None if omega == 0 else loop_time(omega),
-        area=math.pi * r * r,
-        h00=check.beta * check.beta,
-        regime=check,
+        loop_phase(m, omega, r, consts),
+        None if omega == 0 else loop_time(omega),
+        math.pi * r * r,
+        beta * beta,
+        check,
     )
 
 

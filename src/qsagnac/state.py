@@ -55,10 +55,10 @@ class InterferometerConfig(
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        require_valid_config(*self[:5], self.constants)  # the five numbers
-        return self
+    def __new__(cls, m, r1, r2, omega1, omega2, units=UnitSystem.SI):
+        # constants_for refuses an unknown unit system before the numbers
+        require_valid_config(m, r1, r2, omega1, omega2, constants_for(units))
+        return tuple.__new__(cls, (m, r1, r2, omega1, omega2, units))
 
     @property
     def constants(self) -> ConstantSet:
@@ -128,10 +128,10 @@ def concurrence_from_delta(delta: float) -> float:
 def entropy_from_concurrence(c: float) -> float:
     """Entropy in bits of a pure two-qubit state with concurrence c."""
     gap = math.sqrt(max(0.0, 1.0 - c * c))
-    s = 0.0
-    for lam in (0.5 * (1.0 + gap), 0.5 * (1.0 - gap)):
-        if lam > 0.0:
-            s -= lam * math.log2(lam)
+    hi, lo = 0.5 * (1.0 + gap), 0.5 * (1.0 - gap)
+    s = 0.0 - hi * math.log2(hi)  # hi >= 0.5; 0.0 - x turns -0.0 into 0.0
+    if lo > 0.0:
+        s -= lo * math.log2(lo)
     return s
 
 
@@ -158,19 +158,16 @@ def report_from_parameters(
     _require_resolved_phase(delta)
     c = concurrence_from_delta(delta)
     quarter = 0.25 * delta
-    s1, s2 = sorted((abs(math.cos(quarter)), abs(math.sin(quarter))), reverse=True)
+    s1, s2 = abs(math.cos(quarter)), abs(math.sin(quarter))
+    if s1 < s2:  # descending; a tie keeps the cosine first
+        s1, s2 = s2, s1
     return EntanglementReport(
-        delta=delta,
-        concurrence=c,
-        schmidt=(s1, s2),
-        entropy_bits=entropy_from_concurrence(c),
-        maximal=abs(c - 1.0) <= MAXIMAL_TOL,
+        delta, c, (s1, s2), entropy_from_concurrence(c), abs(c - 1.0) <= MAXIMAL_TOL
     )
 
 
 def entanglement_report(cfg: InterferometerConfig) -> EntanglementReport:
     """Full entanglement report for a validated configuration."""
     _require_loops(cfg)
-    return report_from_parameters(
-        cfg.m, cfg.r1, cfg.r2, cfg.omega1, cfg.omega2, cfg.constants
-    )
+    m, r1, r2, omega1, omega2, units = cfg
+    return report_from_parameters(m, r1, r2, omega1, omega2, constants_for(units))

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from qsagnac import (
+    ConstantSet,
     InterferometerConfig,
     RegimeStatus,
     UnitSystem,
@@ -134,3 +135,14 @@ def test_invalid_inputs():
                      lambda: hydrogen_pair_report(n, n, SI)):
             with pytest.raises(ValueError, match="integer"):
                 call()
+
+
+def test_bohr_orbit_compares_constants_by_value():
+    twin = ConstantSet(*SI)
+    assert twin is not SI and twin == SI
+    assert bohr_orbit(3, twin) == bohr_orbit(3, SI)
+    assert hydrogen_pair_report(1, 2, twin) == hydrogen_pair_report(1, 2, SI)
+    with pytest.raises(
+        ValueError, match="^hydrogen estimates require the SI constant set$"
+    ):
+        bohr_orbit(1, constants_for(UnitSystem.NATURAL))

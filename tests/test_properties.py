@@ -30,6 +30,7 @@ from qsagnac import (
     concurrence_from_delta,
     constants_for,
     entangling_phase_value,
+    entropy_from_concurrence,
     report_from_parameters,
     solve_omega2,
     solve_r2,
@@ -374,6 +375,24 @@ def test_every_report_is_a_pure_two_qubit_state_or_refused(args):
     assert 0.0 <= report.entropy_bits <= 1.0
     assert report.maximal == (abs(c - 1.0) <= MAXIMAL_TOL)
     assert abs(report.delta) * 2.0**-50 <= MAXIMAL_TOL  # delta fixes itself mod 2 pi
+
+
+def entropy_by_loop(c):
+    """entropy_from_concurrence as a loop over the two eigenvalues."""
+    gap = math.sqrt(max(0.0, 1.0 - c * c))
+    s = 0.0
+    for lam in (0.5 * (1.0 + gap), 0.5 * (1.0 - gap)):
+        if lam > 0.0:
+            s -= lam * math.log2(lam)
+    return s
+
+
+@given(st.floats(0.0, 1.0))
+@example(0.0)
+@example(1.0)
+@example(5e-324)
+def test_entropy_equals_the_loop_over_eigenvalues_bit_for_bit(c):
+    assert bits(entropy_from_concurrence(c)) == bits(entropy_by_loop(c))
 
 
 def assert_maximal_config(m, r1, r2, omega1, omega2, consts):

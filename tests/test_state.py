@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -252,6 +254,66 @@ def test_replace_and_make_validate(record, bad):
         record._replace(**bad)
     with pytest.raises(ValueError):
         type(record)._make({**record._asdict(), **bad}.values())
+
+
+def test_config_by_position_by_keyword_and_with_default_units():
+    numbers = (1000.0, 1.0, math.sqrt(2.0), 0.01, 0.0105)
+    by_position = InterferometerConfig(*numbers, UnitSystem.NATURAL)
+    by_keyword = InterferometerConfig(
+        **dict(zip(InterferometerConfig._fields, numbers)), units=UnitSystem.NATURAL
+    )
+    assert type(by_position) is type(by_keyword) is InterferometerConfig
+    assert by_position == by_keyword == (*numbers, UnitSystem.NATURAL)
+    default = InterferometerConfig(*numbers)
+    assert default.units is UnitSystem.SI
+    assert default == InterferometerConfig(*numbers, units=UnitSystem.SI)
+    assert default.constants is constants_for(UnitSystem.SI)
+    with pytest.raises(TypeError):
+        InterferometerConfig(*numbers[:4])
+
+
+def test_an_unknown_unit_system_is_refused_before_the_numbers():
+    # every number here is refused too; the unit system is named first
+    with pytest.raises(ValueError, match="unknown unit system: 'natural'"):
+        InterferometerConfig(-1.0, -1.0, math.nan, math.inf, 2.0, "natural")
+
+
+@pytest.mark.parametrize(
+    "rebuild",
+    [
+        lambda cfg: cfg._replace(),
+        lambda cfg: type(cfg)._make(cfg),
+        copy.copy,
+        copy.deepcopy,
+        lambda cfg: pickle.loads(pickle.dumps(cfg)),
+    ],
+    ids=["_replace", "_make", "copy", "deepcopy", "pickle"],
+)
+def test_a_rebuilt_config_is_equal_or_refused(rebuild):
+    again = rebuild(WORKED)
+    assert type(again) is InterferometerConfig
+    assert again == WORKED
+    # a tuple that skipped __new__ is checked when it is rebuilt
+    unchecked = tuple.__new__(InterferometerConfig, (-1.0, *WORKED[1:]))
+    with pytest.raises(ValueError, match="mass"):
+        rebuild(unchecked)
+
+
+@pytest.mark.parametrize(
+    "delta", [0.0, math.pi, -math.pi, 1.5 * math.pi, 2.0 * math.pi]
+)
+def test_schmidt_pair_is_cos_and_sin_of_delta_over_4_descending(delta):
+    # m = 1/2, omega1 - omega2 = delta / pi and r1^2 - r2^2 = 1 in natural
+    # units give exactly this delta
+    gap = delta / math.pi
+    report = report_from_parameters(0.5, 1.0, 0.0, 0.5 * gap, -0.5 * gap, NATURAL)
+    assert report.delta == delta
+    quarter = 0.25 * delta
+    cos, sin = abs(math.cos(quarter)), abs(math.sin(quarter))
+    assert report.schmidt == tuple(sorted((cos, sin), reverse=True))
+    assert report.schmidt[0] >= report.schmidt[1]
+    if delta == math.pi:  # cos(pi/4) is one ulp above sin(pi/4)
+        assert report.schmidt == (cos, sin) and cos - sin == math.ulp(sin)
 
 
 def test_states_are_normalized():

@@ -12,7 +12,6 @@ import math
 import os
 import sys
 from enum import Enum
-from itertools import islice
 from types import SimpleNamespace
 
 from .constants import UnitSystem, constants_for, regime_check
@@ -189,36 +188,13 @@ def cmd_solve(args) -> str:
     )
 
 
-# rows per write (about 100 KB of CSV, 200 KB of JSON): with PYTHONUNBUFFERED
-# set, each write is a syscall
-_CHUNK_ROWS = 1024
-
-
-def _write_lines(head: str, lines, sep: str) -> None:
-    """Write head, then a newline and the lines joined by sep, in chunks."""
-    write = sys.stdout.write  # looked up per call, so a redirected stdout is used
-    write(head)
-    lead = "\n"
-    while chunk := list(islice(lines, _CHUNK_ROWS)):
-        write(lead + sep.join(chunk))
-        lead = sep
-
-
-def cmd_sweep(args) -> str:
-    from .design import SweepRow, SweepSpec, _require_finite_deltas, _sweep_values
-
-    spec = SweepSpec(args.vary, args.start, args.stop, args.count, _config(args))
-    _require_finite_deltas(spec)  # so a refused sweep writes nothing
-    rows = _sweep_values(spec)
-    if args.format == "json":  # to_json(sweep(spec)), a row at a time
-        _write_lines("[", ("  " + to_json(SweepRow._make(r), 1) for r in rows), ",\n")
-        return "\n]"  # the rest, for main to print
-    # the kernel's tuples, not sweep()'s rows: holding a SweepRow per row
-    # costs about 13% of perfbench's sweep_csv throughput and 1 MB of RSS
-    # (_value_ is a plain attribute; .value goes through Enum's property).
-    # x % 1.0 > 0.0 holds just for a finite x that is not an integer, where
-    # format_float's .0 rule cannot fire, so such rows take one template.
-    lines = (
+# The kernel's tuples, not sweep()'s rows: holding a SweepRow per row costs
+# about 13% of perfbench's sweep_csv throughput and 1 MB of RSS (_value_ is a
+# plain attribute; .value goes through Enum's property). x % 1.0 > 0.0 holds
+# just for a finite x that is not an integer, where format_float's .0 rule
+# cannot fire, so such rows take one template.
+def _csv_rows(rows) -> str:
+    return "\n".join(
         "%.17g,%.17g,%.17g,%.17g,%s" % (value, delta, conc, entropy, regime._value_)
         if value % 1.0 > 0.0 and delta % 1.0 > 0.0 and conc % 1.0 > 0.0
         and entropy % 1.0 > 0.0
@@ -226,8 +202,35 @@ def cmd_sweep(args) -> str:
         f"{format_float(entropy)},{regime._value_}"
         for value, delta, conc, entropy, regime in rows
     )
-    _write_lines(",".join(SweepRow._fields), lines, "\n")
-    return ""
+
+
+def _json_rows(rows) -> str:  # rows of to_json(sweep(spec))
+    from .design import SweepRow
+
+    return ",\n".join("  " + to_json(SweepRow._make(row), 1) for row in rows)
+
+
+def cmd_sweep(args) -> str:
+    from .design import SweepRow, SweepSpec, _require_finite_deltas
+    from .design import _sweep_plan, _sweep_rows
+
+    spec = SweepSpec(args.vary, args.start, args.stop, args.count, _config(args))
+    _require_finite_deltas(spec)  # so a refused sweep writes nothing
+    if args.format == "json":  # to_json(sweep(spec)), a chunk at a time
+        head, render, sep, tail = "[", _json_rows, ",\n", "\n]"
+    else:
+        head, render, sep, tail = ",".join(SweepRow._fields), _csv_rows, "\n", ""
+    write = sys.stdout.write  # looked up per call, so a redirected stdout is used
+    write(head)
+    from .chunks import write_chunks  # after the header: the first byte waits for no load
+
+    plan = _sweep_plan(spec)  # every gate call, before a second process starts
+
+    def text(i: int, j: int) -> str:  # rows i to j - 1
+        return render(_sweep_rows(spec, plan, i, j))
+
+    write_chunks(write, text, spec.count, sep)
+    return tail  # the rest, for main to print
 
 
 def cmd_hydrogen(args) -> str:

@@ -9,7 +9,6 @@ landscape around those solutions.
 import math
 from bisect import bisect_right
 from collections import deque, namedtuple
-from itertools import islice
 
 from .constants import (
     ConstantSet,
@@ -143,25 +142,9 @@ def _grid(start: float, stop: float, count: int, at=None) -> list[float]:
     return values
 
 
-def _regime(numbers: list, consts: ConstantSet) -> RegimeStatus:
-    """The config gate's regime for numbers = [m, r1, r2, omega1, omega2],
-    ERROR where the gate refuses them."""
-    try:
-        return require_valid_config(*numbers, consts).status
-    except ValueError:
-        return RegimeStatus.ERROR
-
-
-def _sweep_values(spec: SweepSpec):
-    """Yield (value, delta, concurrence, entropy_bits, regime) per grid point.
-
-    Each row's regime is the config gate's, ERROR where the gate refuses
-    the row, and delta, concurrence and entropy repeat the operations of
-    entangling_phase_value, concurrence_from_delta and
-    entropy_from_concurrence one for one, so every bit matches them (a
-    property test pins the two together). Only the entropy's clamp of
-    1 - c^2 at 0 is left out, since |sin| <= 1 keeps it idle. Calling the
-    three per row costs 4-6% of perfbench's sweep_csv throughput.
+def _sweep_plan(spec: SweepSpec) -> tuple[list[float], list[tuple]]:
+    """The grid of spec and its stretches (i, j, regime) in grid order: rows
+    i to j - 1 take the config gate's regime, ERROR where it refuses them.
 
     The gate runs only at the ends of stretches of the grid, which ascends.
     The swept value enters require_valid_config only through m > 0, r2 >= 0,
@@ -176,30 +159,54 @@ def _sweep_values(spec: SweepSpec):
     numbers = list(spec.base[:5])  # m, r1, r2, omega1, omega2
     position = _VARY_POSITIONS[spec.varying]
     consts = spec.base.constants
-    hbar, pi = consts.hbar, math.pi
-    sin, sqrt, log2, isfinite = math.sin, math.sqrt, math.log2, math.isfinite
     grid = _grid(spec.start, spec.stop, spec.count)
+
+    def regime(i: int) -> RegimeStatus:
+        numbers[position] = grid[i]
+        try:
+            return require_valid_config(*numbers, consts).status
+        except ValueError:
+            return RegimeStatus.ERROR
+
     split = bisect_right(grid, 0.0)
-    # (i, j, regime at i, regime at j): rows i to j - 1 are still to come,
-    # and i and j lie on one side of 0. A stack, so the later half goes in
-    # first, and each row in grid order comes from one iterator.
+    # (i, j, regime at i, regime at j): rows i to j - 1 are still to be
+    # planned, and i and j lie on one side of 0. A stack, so the later half
+    # goes in first and the stretches come out in grid order.
     todo = []
     for i, j in (split, len(grid) - 1), (0, split - 1):
         if i <= j:
-            numbers[position] = grid[j]
-            last = _regime(numbers, consts)
-            numbers[position] = grid[i]
-            todo += (j, j + 1, last, last), (i, j, _regime(numbers, consts), last)
-    values = iter(grid)
+            last = regime(j)
+            todo += (j, j + 1, last, last), (i, j, regime(i), last)
+    stretches = []
     while todo:
-        i, j, regime, last = todo.pop()
-        if regime is not last and j > i + 1:  # the regime changes within
+        i, j, first, last = todo.pop()
+        if first is not last and j > i + 1:  # the regime changes within
             mid = (i + j) // 2
-            numbers[position] = grid[mid]
-            middle = _regime(numbers, consts)
-            todo += (mid, j, middle, last), (i, mid, regime, middle)
-            continue
-        for value in islice(values, j - i):
+            middle = regime(mid)
+            todo += (mid, j, middle, last), (i, mid, first, middle)
+        else:
+            stretches.append((i, j, first))
+    return grid, stretches
+
+
+def _sweep_rows(spec: SweepSpec, plan: tuple, begin: int, end: int):
+    """Yield (value, delta, concurrence, entropy_bits, regime) for rows begin
+    to end - 1 of spec, whose _sweep_plan is plan; it makes no gate call.
+
+    delta, concurrence and entropy repeat the operations of
+    entangling_phase_value, concurrence_from_delta and
+    entropy_from_concurrence one for one, so every bit matches them (a
+    property test pins the two together). Only the entropy's clamp of
+    1 - c^2 at 0 is left out, since |sin| <= 1 keeps it idle. Calling the
+    three per row costs 4-6% of perfbench's sweep_csv throughput.
+    """
+    grid, stretches = plan
+    numbers = list(spec.base[:5])  # m, r1, r2, omega1, omega2
+    position = _VARY_POSITIONS[spec.varying]
+    hbar, pi = spec.base.constants.hbar, math.pi
+    sin, sqrt, log2, isfinite = math.sin, math.sqrt, math.log2, math.isfinite
+    for i, j, regime in stretches:
+        for value in grid[max(i, begin):min(j, end)]:
             numbers[position] = value
             m, r1, r2, omega1, omega2 = numbers
             delta = 2.0 * m * (omega1 - omega2) * pi * ((r1 - r2) * (r1 + r2)) / hbar
@@ -217,8 +224,8 @@ def _sweep_values(spec: SweepSpec):
 
 
 def _require_finite_deltas(spec: SweepSpec) -> None:
-    """Raise before any row is made what _sweep_values(spec) would raise part
-    way through, a non-finite delta. delta is linear in m and in omega2, and
+    """Raise before any row is made what _sweep_rows would raise part way
+    through, a non-finite delta. delta is linear in m and in omega2, and
     |r1^2 - r2^2| peaks at an end or at r2 = 0, so entangling_phase_value,
     whose bits the kernel's delta matches, is computed at the two ends and at
     the points either side of 0 of an r2 grid that crosses it (a property
@@ -234,7 +241,7 @@ def _require_finite_deltas(spec: SweepSpec) -> None:
         numbers[position] = value
         if not math.isfinite(entangling_phase_value(*numbers, spec.base.constants)):
             # refuse in the kernel's words, naming the first such row
-            deque(_sweep_values(spec), maxlen=0)
+            deque(_sweep_rows(spec, _sweep_plan(spec), 0, count), maxlen=0)
 
 
 def sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -242,4 +249,5 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
 
     Points that no longer form a valid configuration are kept, marked ERROR.
     """
-    return [SweepRow._make(row) for row in _sweep_values(spec)]
+    rows = _sweep_rows(spec, _sweep_plan(spec), 0, spec.count)
+    return [SweepRow._make(row) for row in rows]

@@ -88,6 +88,17 @@ def reference_sweep_rows(spec):
     return rows
 
 
+def spec_argv(spec, fmt="csv"):
+    """The CLI invocation of the sweep spec; repr round-trips every double."""
+    flags = zip(("m", "r1", "r2", "omega1", "omega2"), spec.base[:5])
+    return [
+        "sweep", "--vary", spec.varying, f"--start={spec.start!r}",
+        f"--stop={spec.stop!r}", "--count", str(spec.count), "--format", fmt,
+        "--units", spec.base.units.value,
+        *(f"--{name}={value!r}" for name, value in flags),
+    ]
+
+
 def parser_interface(parser):
     """The declared interface of an argparse parser and of its subparsers, as
     plain data: each action's flags, dest, type name, required, choices,

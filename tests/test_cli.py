@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,10 @@ import pytest
 
 import qsagnac
 from qsagnac import InterferometerConfig, SweepSpec, UnitSystem, sweep
-from qsagnac import cli, design
+from qsagnac import chunks, cli, design
 from qsagnac.cli import build_parser, format_float, main, to_json
 
-from helpers import parser_interface
+from helpers import parser_interface, spec_argv
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -218,7 +219,7 @@ SUBCOMMAND_MODULES = {
     "state": ["phase", "state"],
     "entangle": ["phase", "state"],
     "solve": ["design", "phase", "state"],
-    "sweep": ["design", "phase", "state"],
+    "sweep": ["chunks", "design", "phase", "state"],
     "hydrogen": ["hydrogen", "phase", "state"],
 }
 
@@ -495,15 +496,114 @@ def test_sweep_output_is_written_in_bounded_chunks(monkeypatch, fmt):
     monkeypatch.undo()
     assert len(stdout.writes) >= 50
     assert max(map(len, stdout.writes)) <= 256 * 1024
-    rows = sweep(SweepSpec("omega2", 0.009, 0.012, 100_000, InterferometerConfig(
-        1000.0, 1.0, 1.41421356237, 0.01, 0.0105, UnitSystem.NATURAL)))
+    assert "".join(stdout.writes) == expected_sweep_output(
+        SweepSpec("omega2", 0.009, 0.012, 100_000, SWEEP_BASE), fmt)
+
+
+def expected_sweep_output(spec, fmt):
+    """The sweep's stdout, built from sweep(spec)'s rows."""
+    rows = sweep(spec)
     if fmt == "json":
-        expected = to_json(rows)
-    else:
-        expected = "\n".join(["value,delta,concurrence,entropy_bits,regime"] + [
-            ",".join([*map(format_float, row[:4]), row.regime.value]) for row in rows
-        ])
-    assert "".join(stdout.writes) == expected + "\n"
+        return to_json(rows) + "\n"
+    return "\n".join(["value,delta,concurrence,entropy_bits,regime"] + [
+        ",".join([*map(format_float, row[:4]), row.regime.value]) for row in rows
+    ]) + "\n"
+
+
+SWEEP_BASE = InterferometerConfig(
+    1000.0, 1.0, 1.41421356237, 0.01, 0.0105, UnitSystem.NATURAL)
+
+# Counts on each side of the 1024-row chunk edges, and a sweep whose regime
+# changes four times (error, warn, ok, warn, error: rims at beta = 0.1 and 1
+# on both sides of 0), so that the stretch plan crosses chunk edges
+EDGE_SPECS = [
+    SweepSpec("omega2", 0.009, 0.012, count, SWEEP_BASE)
+    for count in (1, 1023, 1024, 1025, 2048, 2049, 3073)
+] + [SweepSpec("omega2", -3.0, 3.0, 3073, SWEEP_BASE._replace(r2=0.5))]
+
+
+def forks_counted(monkeypatch, cpus):
+    """Let the process see the CPUs `cpus`, and count the forks it makes."""
+    forks = []
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    real_fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_sweep_bytes_are_the_same_across_chunk_edges_on_one_or_two_processes(
+        capsys, monkeypatch, cpus):
+    # two CPUs: a forked child renders the odd chunks of every sweep of more
+    # than one chunk; one CPU: this process renders them all
+    forks = forks_counted(monkeypatch, cpus)
+    for spec in EDGE_SPECS:
+        for fmt in "csv", "json":
+            code, out, err = run(capsys, *spec_argv(spec, fmt))
+            assert (code, err) == (0, ""), (spec.count, fmt)
+            assert out == expected_sweep_output(spec, fmt), (spec.count, fmt)
+    regimes = [row.regime.value for row in sweep(EDGE_SPECS[-1])]
+    changes = [i for i in range(1, len(regimes)) if regimes[i] != regimes[i - 1]]
+    # error rows run across the chunk edges at 1024 and 3072, and the last
+    # change of regime is at the edge at 2048
+    assert regimes[0] == regimes[-1] == "error"
+    assert changes[0] > chunks.CHUNK_ROWS and changes[-1] == 2 * chunks.CHUNK_ROWS
+    two = [spec for spec in EDGE_SPECS if spec.count > chunks.CHUNK_ROWS]
+    assert len(forks) == (2 * len(two) if len(cpus) > 1 else 0)
+
+
+def test_a_failed_fork_leaves_every_chunk_to_this_process(capsys, monkeypatch):
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    spec = EDGE_SPECS[-1]
+    fds = len(os.listdir("/proc/self/fd"))
+    for fmt in "csv", "json":
+        assert run(capsys, *spec_argv(spec, fmt)) == (
+            0, expected_sweep_output(spec, fmt), "")
+    assert len(os.listdir("/proc/self/fd")) == fds  # the pipe is closed
+
+
+@pytest.mark.parametrize("fails_at", [1024, 2048])
+def test_a_failed_chunk_exits_1_with_one_error_line(capsys, monkeypatch, fails_at):
+    # the child renders the chunk at row 1024, this process the one at 2048
+    def failing(spec, plan, begin, end):
+        if begin >= fails_at:
+            raise ValueError(f"no rows from {begin}")
+        return rows(spec, plan, begin, end)
+
+    rows = design._sweep_rows
+    forks = forks_counted(monkeypatch, {0, 1})
+    monkeypatch.setattr(design, "_sweep_rows", failing)
+    for fmt in "csv", "json":
+        code, out, err = run(capsys, *sweep_argv(4000, fmt))
+        assert (code, err) == (1, f"error: no rows from {fails_at}\n")
+        assert len(out) < len(expected_sweep_output(
+            SweepSpec("omega2", 0.009, 0.012, 4000, SWEEP_BASE), fmt))
+    assert len(forks) == 2
+
+
+def test_a_child_that_dies_is_an_error_not_a_short_output(capsys, monkeypatch):
+    def dying(spec, plan, begin, end):
+        if begin >= 1024 and os.getpid() != parent:
+            os._exit(3)
+        return rows(spec, plan, begin, end)
+
+    rows, parent = design._sweep_rows, os.getpid()
+    forks_counted(monkeypatch, {0, 1})
+    monkeypatch.setattr(design, "_sweep_rows", dying)
+    code, _, err = run(capsys, *sweep_argv(4000, "csv"))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 
 
 def test_hydrogen_subcommand(capsys):
@@ -615,11 +715,13 @@ def test_console_script_entry_point():
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_reader_that_stops_early_gets_no_traceback(fmt, unbuffered):
-    # `qsagnac sweep ... | head -n 1`: stdout's pipe closes mid-sweep
+    # `qsagnac sweep ... | head -n 1`: stdout's pipe closes mid-sweep, and
+    # the second process that renders half the chunks goes with the first
     env = {**package_env(), "PYTHONUNBUFFERED": unbuffered}
     proc = subprocess.Popen(
         [sys.executable, "-c", ENTRY_POINT, *sweep_argv(200_000, fmt)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        start_new_session=True)
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read()
@@ -628,6 +730,45 @@ def test_a_reader_that_stops_early_gets_no_traceback(fmt, unbuffered):
     assert first == {"csv": b"value,delta,concurrence,entropy_bits,regime\n",
                      "json": b"[\n"}[fmt]
     assert err == b""
+    with pytest.raises(ProcessLookupError):  # no process of its group is left
+        os.killpg(proc.pid, 0)
+
+
+# Runs the CLI after registering an exit hook that reports on stderr, as
+# perfbench's peak-RSS hook does
+WITH_EXIT_HOOK = (
+    "import atexit, sys; from qsagnac.cli import main; "
+    "atexit.register(lambda: print('exit hook', file=sys.stderr)); "
+    "sys.exit(main())"
+)
+
+
+def test_the_second_process_runs_no_exit_hook_and_flushes_no_inherited_buffer():
+    # buffered stdout still holds the header when the child is forked
+    spec = SweepSpec("omega2", 0.009, 0.012, 5000, SWEEP_BASE)
+    done = subprocess.run(
+        [sys.executable, "-c", WITH_EXIT_HOOK, *spec_argv(spec, "csv")],
+        capture_output=True, text=True,
+        env={**package_env(), "PYTHONUNBUFFERED": ""})
+    assert (done.returncode, done.stderr) == (0, "exit hook\n")
+    assert done.stdout == expected_sweep_output(spec, "csv")
+
+
+def test_ctrl_c_leaves_no_process_and_at_most_one_traceback():
+    # SIGINT reaches the whole foreground group: the CLI's KeyboardInterrupt
+    # is its own, and the second process leaves without a word
+    proc = subprocess.Popen(
+        [sys.executable, "-c", ENTRY_POINT, *sweep_argv(200_000, "csv")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env(),
+        start_new_session=True)
+    for _ in range(3 * chunks.CHUNK_ROWS):  # past the child's first chunk
+        proc.stdout.readline()
+    os.killpg(proc.pid, signal.SIGINT)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode != 0
+    assert err.count(b"Traceback") <= 1
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 def test_a_reader_that_is_gone_before_a_short_output_gets_no_traceback():

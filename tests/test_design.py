@@ -1,4 +1,7 @@
+import contextlib
+import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from qsagnac import (
     sweep,
 )
 from qsagnac import design
+from qsagnac.cli import main
 from qsagnac.design import MAX_SWEEP_ROWS
 
 NATURAL = constants_for(UnitSystem.NATURAL)
@@ -265,3 +269,15 @@ def test_the_sweep_gate_runs_once_per_regime_change_not_per_row(monkeypatch):
     changes = [(a, b) for a, b in zip(regimes, regimes[1:]) if a != b]
     assert changes == [("error", "warn"), ("warn", "ok"), ("ok", "warn"), ("warn", "error")]
     assert 1 <= len(calls) <= 4 * (math.ceil(math.log2(count)) + 2)
+    # through the CLI, which writes 98 chunks from one process or two: the
+    # plan is made once, before any second process starts
+    argv = ["sweep", "--vary", "omega2", "--start", "0.009", "--stop", "0.012",
+            "--count", "100000", "--format", "csv", "--units", "natural",
+            "--m", "1000", "--r1", "1", "--r2", str(math.sqrt(2.0)),
+            "--omega1", "0.01", "--omega2", "0.0105"]
+    for cpus in {0}, {0, 1}:
+        calls.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert 1 <= len(calls) <= 4

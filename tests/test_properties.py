@@ -49,7 +49,7 @@ from qsagnac.constants import ERROR_BETA, require_valid_config
 from qsagnac.design import VARY_CHOICES, _grid, _require_finite_deltas
 from qsagnac.state import MAXIMAL_TOL
 
-from helpers import ROW_NAMES, reference_sweep_rows
+from helpers import ROW_NAMES, reference_sweep_rows, spec_argv
 
 
 def bits(x: float) -> bytes:
@@ -203,17 +203,6 @@ def test_sweep_rows_take_their_regime_from_the_config_gate(spec):
         assert row.regime is expected
 
 
-def sweep_argv(spec, fmt="csv"):
-    """The CLI invocation of spec; repr round-trips every double."""
-    flags = zip(("m", "r1", "r2", "omega1", "omega2"), spec.base[:5])
-    return [
-        "sweep", "--vary", spec.varying, f"--start={spec.start!r}",
-        f"--stop={spec.stop!r}", "--count", str(spec.count), "--format", fmt,
-        "--units", spec.base.units.value,
-        *(f"--{name}={value!r}" for name, value in flags),
-    ]
-
-
 def base(m=1.0, r1=1.0, r2=1.5, omega1=0.01, omega2=0.02, units=NATURAL):
     return InterferometerConfig(m, r1, r2, omega1, omega2, units)
 
@@ -267,7 +256,7 @@ def test_sweep_rows_equal_the_per_row_reference_bit_for_bit(spec):
         expected = None
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(sweep_argv(spec))
+        code = main(spec_argv(spec))
     if expected is None:  # a row whose delta is not finite refuses the sweep
         with pytest.raises(ValueError, match="not finite"):
             sweep(spec)
@@ -331,7 +320,7 @@ SWEEP_MASS = SweepSpec(  # the sweep_mass.json golden's invocation
 def test_the_streamed_json_sweep_is_to_json_of_the_rows(spec):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(sweep_argv(spec, "json"))
+        code = main(spec_argv(spec, "json"))
     try:
         expected = to_json(sweep(spec)) + "\n"
     except ValueError:  # a refused sweep writes nothing

@@ -5,7 +5,7 @@ digits so values survive a parse round-trip bit-exactly. Each payload is
 built from the result named tuples, whose fields give its keys; a sweep
 streams its rows, and a refused sweep writes nothing. Exit codes: 0
 success, 1 domain error (diagnostic on stderr) or a reader that closed the
-pipe early, 2 argument error.
+pipe early, 2 argument error, 130 Ctrl-C.
 """
 
 import math
@@ -403,6 +403,8 @@ def main(argv=None) -> int:
         # point stdout at devnull, so the flush at interpreter exit succeeds
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except KeyboardInterrupt:  # Ctrl-C: 128 + SIGINT, as a shell reports it
+        return 130
     return 0
 
 

@@ -8,7 +8,7 @@ landscape around those solutions.
 
 import math
 from bisect import bisect_right
-from collections import deque, namedtuple
+from collections import namedtuple
 
 from .constants import (
     ConstantSet,
@@ -191,7 +191,8 @@ def _sweep_plan(spec: SweepSpec) -> tuple[list[float], list[tuple]]:
 
 def _sweep_rows(spec: SweepSpec, plan: tuple, begin: int, end: int):
     """Yield (value, delta, concurrence, entropy_bits, regime) for rows begin
-    to end - 1 of spec, whose _sweep_plan is plan; it makes no gate call.
+    to end - 1 of spec, whose _sweep_plan is plan; it makes no gate call and
+    takes every delta as finite, as _require_finite_deltas makes sure.
 
     delta, concurrence and entropy repeat the operations of
     entangling_phase_value, concurrence_from_delta and
@@ -204,16 +205,12 @@ def _sweep_rows(spec: SweepSpec, plan: tuple, begin: int, end: int):
     numbers = list(spec.base[:5])  # m, r1, r2, omega1, omega2
     position = _VARY_POSITIONS[spec.varying]
     hbar, pi = spec.base.constants.hbar, math.pi
-    sin, sqrt, log2, isfinite = math.sin, math.sqrt, math.log2, math.isfinite
+    sin, sqrt, log2 = math.sin, math.sqrt, math.log2
     for i, j, regime in stretches:
         for value in grid[max(i, begin):min(j, end)]:
             numbers[position] = value
             m, r1, r2, omega1, omega2 = numbers
             delta = 2.0 * m * (omega1 - omega2) * pi * ((r1 - r2) * (r1 + r2)) / hbar
-            if not isfinite(delta):  # no row can carry it, so the sweep is refused
-                raise ValueError(
-                    f"delta = {delta} is not finite at {spec.varying} = {value:g}"
-                )
             conc = abs(sin(0.5 * delta))
             gap = sqrt(1.0 - conc * conc)
             hi, lo = 0.5 * (1.0 + gap), 0.5 * (1.0 - gap)
@@ -224,12 +221,12 @@ def _sweep_rows(spec: SweepSpec, plan: tuple, begin: int, end: int):
 
 
 def _require_finite_deltas(spec: SweepSpec) -> None:
-    """Raise before any row is made what _sweep_rows would raise part way
-    through, a non-finite delta. delta is linear in m and in omega2, and
-    |r1^2 - r2^2| peaks at an end or at r2 = 0, so entangling_phase_value,
-    whose bits the kernel's delta matches, is computed at the two ends and at
-    the points either side of 0 of an r2 grid that crosses it (a property
-    test pins this against the whole sweep)."""
+    """Refuse the sweep, naming its first row, if a row's delta is not
+    finite, since no row can carry it. delta is linear in m and in omega2,
+    and |r1^2 - r2^2| peaks at an end or at r2 = 0, so the whole grid is
+    scanned only if delta is not finite at the two ends or at the points
+    either side of 0 of an r2 grid that crosses it (a property test pins
+    this). entangling_phase_value's bits are the kernel's."""
     start, stop, count = spec.start, spec.stop, spec.count
     numbers = list(spec.base[:5])  # m, r1, r2, omega1, omega2
     position = _VARY_POSITIONS[spec.varying]
@@ -237,17 +234,23 @@ def _require_finite_deltas(spec: SweepSpec) -> None:
     if spec.varying == "r2" and start < 0 < stop:
         below = int(-start / (stop - start) * (count - 1))  # off by at most one
         at.update(range(below - 1, below + 3))
-    for value in _grid(start, stop, count, at):
-        numbers[position] = value
-        if not math.isfinite(entangling_phase_value(*numbers, spec.base.constants)):
-            # refuse in the kernel's words, naming the first such row
-            deque(_sweep_rows(spec, _sweep_plan(spec), 0, count), maxlen=0)
+
+    def deltas(rows):  # (delta, value) at the indices in rows, or at every row
+        for value in _grid(start, stop, count, rows):
+            numbers[position] = value
+            yield entangling_phase_value(*numbers, spec.base.constants), value
+
+    if not all(math.isfinite(delta) for delta, _ in deltas(at)):
+        delta, value = next(row for row in deltas(None) if not math.isfinite(row[0]))
+        raise ValueError(f"delta = {delta} is not finite at {spec.varying} = {value:g}")
 
 
 def sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate `count` evenly spaced points, endpoints included, ascending.
 
-    Points that no longer form a valid configuration are kept, marked ERROR.
+    Points that no longer form a valid configuration are kept, marked ERROR;
+    a row whose delta is not finite refuses the sweep.
     """
+    _require_finite_deltas(spec)
     rows = _sweep_rows(spec, _sweep_plan(spec), 0, spec.count)
     return [SweepRow._make(row) for row in rows]

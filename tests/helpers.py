@@ -65,8 +65,8 @@ ROW_NAMES = ("mass", "r1", "r2", "omega1", "omega2")
 def reference_sweep_rows(spec):
     """The rows of sweep(spec) as (value, delta, concurrence, entropy_bits,
     regime), each computed on its own through the public per-config
-    functions and the config gate. Raises ValueError, as sweep does, when a
-    row's delta is not finite."""
+    functions and the config gate. Raises ValueError in sweep's words,
+    naming the first row whose delta is not finite."""
     consts = spec.base.constants
     numbers = dict(zip(ROW_NAMES, spec.base[:5]))
     # numpy also computes the last point as div * step, which can overflow
@@ -82,7 +82,8 @@ def reference_sweep_rows(spec):
             regime = RegimeStatus.ERROR
         delta = entangling_phase_value(*numbers.values(), consts)
         if not math.isfinite(delta):
-            raise ValueError(f"delta = {delta} is not finite")
+            raise ValueError(
+                f"delta = {delta} is not finite at {spec.varying} = {value:g}")
         conc = concurrence_from_delta(delta)
         rows.append((value, delta, conc, entropy_from_concurrence(conc), regime))
     return rows

@@ -211,11 +211,12 @@ def _json_rows(rows) -> str:  # rows of to_json(sweep(spec))
 
 
 def cmd_sweep(args) -> str:
-    from .design import SweepRow, SweepSpec, _require_finite_deltas
-    from .design import _sweep_plan, _sweep_rows
+    from .design import SweepRow, SweepSpec, _sweep_plan, _sweep_rows
 
     spec = SweepSpec(args.vary, args.start, args.stop, args.count, _config(args))
-    _require_finite_deltas(spec)  # so a refused sweep writes nothing
+    # every refusal and gate call, before the header, so a refused sweep
+    # writes nothing, and before a second process starts
+    plan = _sweep_plan(spec)
     if args.format == "json":  # to_json(sweep(spec)), a chunk at a time
         head, render, sep, tail = "[", _json_rows, ",\n", "\n]"
     else:
@@ -223,8 +224,6 @@ def cmd_sweep(args) -> str:
     write = sys.stdout.write  # looked up per call, so a redirected stdout is used
     write(head)
     from .chunks import write_chunks  # after the header: the first byte waits for no load
-
-    plan = _sweep_plan(spec)  # every gate call, before a second process starts
 
     def text(i: int, j: int) -> str:  # rows i to j - 1
         return render(_sweep_rows(spec, plan, i, j))

@@ -24,7 +24,7 @@ from .state import MAXIMAL_TOL, InterferometerConfig, concurrence_from_delta
 # each --vary name and the position of its number in (m, r1, r2, omega1, omega2)
 _VARY_POSITIONS = {"omega2": 4, "r2": 2, "mass": 0}
 VARY_CHOICES = tuple(_VARY_POSITIONS)
-MAX_SWEEP_ROWS = 10**6  # sweep() and _grid return lists, so --count is bounded
+MAX_SWEEP_ROWS = 10**6  # sweep() returns a list, so --count is bounded
 
 
 class SweepSpec(_Checked, namedtuple("SweepSpec", "varying start stop count base")):
@@ -123,60 +123,79 @@ def solve_r2(
     return r2
 
 
-def _grid(start: float, stop: float, count: int, at=None) -> list[float]:
-    """np.linspace(start, stop, count) bit for bit, for a finite span; only
-    the points at the indices in `at` if it is given."""
+def _grid(start: float, stop: float, count: int, begin: int, end: int) -> list[float]:
+    """np.linspace(start, stop, count)[begin:end] bit for bit, for a finite
+    span and begin and end from 0 to count; a point's bits do not depend on
+    which slice it is built in."""
     start, stop = float(start), float(stop)
     span = stop - start
-    if count == 1:
-        return [0.0 * span + start]  # not [start]: numpy turns a -0.0 start into 0.0
+    if count == 1:  # not [start]: numpy turns a -0.0 start into 0.0
+        return [0.0 * span + start][begin:end]
     div = count - 1
     step = span / div
-    inner = range(div) if at is None else [i for i in at if 0 <= i < div]
+    inner = range(begin, min(end, div))
     if step == 0:  # a zero or subnormal span: divide first, as numpy does
         values = [(i / div) * span + start for i in inner]
     else:
         values = [i * step + start for i in inner]
-    if at is None or div in at:
+    if begin <= div < end:
         values.append(stop)
     return values
 
 
-def _sweep_plan(spec: SweepSpec) -> tuple[list[float], list[tuple]]:
-    """The grid of spec and its stretches (i, j, regime) in grid order: rows
-    i to j - 1 take the config gate's regime, ERROR where it refuses them.
+def _sweep_plan(spec: SweepSpec) -> list[tuple]:
+    """The stretches (i, j, regime) of spec's grid, in grid order: rows i to
+    j - 1 take the config gate's regime, ERROR where it refuses them. Refuses
+    the sweep, naming its first row, if a row's delta is not finite, since no
+    row can carry it. It reads O(log count) grid points per change of
+    regime, never the whole grid.
 
-    The gate runs only at the ends of stretches of the grid, which ascends.
     The swept value enters require_valid_config only through m > 0, r2 >= 0,
     |omega2|, max(r1, r2), max(|omega1|, |omega2|) * r / c and r * r, each
     monotone in it on either side of 0, in floating point too, since each
     operation is correctly rounded. So up to 0 the verdict never gets
-    harsher along the grid, and past 0 it never gets milder: a stretch on
-    one side whose two ends get one verdict gets it on every row. A stretch
-    whose ends differ is halved, so each change of regime costs O(log count)
-    gate calls, where a call per row would cost about half the kernel's time.
+    harsher along the grid, which ascends, and past 0 it never gets milder:
+    a stretch on one side whose two ends get one verdict gets it on every
+    row. A stretch whose ends differ is halved, so each change of regime
+    costs O(log count) gate calls, where a call per row would cost about
+    half the kernel's time. delta is linear in m and in omega2, and
+    r1^2 - r2^2 is monotone on either side of 0, so |delta| peaks at the
+    first or last row of a side; only if it is not finite there is the
+    grid scanned, with entangling_phase_value, whose bits are the kernel's
+    (a property test pins the refusal to a row-by-row reference).
     """
     numbers = list(spec.base[:5])  # m, r1, r2, omega1, omega2
     position = _VARY_POSITIONS[spec.varying]
     consts = spec.base.constants
-    grid = _grid(spec.start, spec.stop, spec.count)
+    start, stop, count = spec.start, spec.stop, spec.count
+
+    def point(i: int) -> float:  # the swept value at row i
+        return _grid(start, stop, count, i, i + 1)[0]
+
+    def delta(i: int) -> float:
+        numbers[position] = point(i)
+        return entangling_phase_value(*numbers, consts)
 
     def regime(i: int) -> RegimeStatus:
-        numbers[position] = grid[i]
+        numbers[position] = point(i)
         try:
             return require_valid_config(*numbers, consts).status
         except ValueError:
             return RegimeStatus.ERROR
 
-    split = bisect_right(grid, 0.0)
+    split = bisect_right(range(count), 0.0, key=point)
+    # the first and last rows of each side of 0 that has any
+    sides = [(i, j) for i, j in ((0, split - 1), (split, count - 1)) if i <= j]
+    if not all(math.isfinite(delta(k)) for side in sides for k in side):
+        i = next(i for i in range(count) if not math.isfinite(delta(i)))
+        raise ValueError(f"delta = {delta(i)} is not finite at {spec.varying} = {point(i):g}")
     # (i, j, regime at i, regime at j): rows i to j - 1 are still to be
     # planned, and i and j lie on one side of 0. A stack, so the later half
     # goes in first and the stretches come out in grid order.
     todo = []
-    for i, j in (split, len(grid) - 1), (0, split - 1):
-        if i <= j:
-            last = regime(j)
-            todo += (j, j + 1, last, last), (i, j, regime(i), last)
+    for i, j in reversed(sides):
+        last = regime(j)
+        todo += (j, j + 1, last, last), (i, j, regime(i), last)
     stretches = []
     while todo:
         i, j, first, last = todo.pop()
@@ -186,13 +205,14 @@ def _sweep_plan(spec: SweepSpec) -> tuple[list[float], list[tuple]]:
             todo += (mid, j, middle, last), (i, mid, first, middle)
         else:
             stretches.append((i, j, first))
-    return grid, stretches
+    return stretches
 
 
-def _sweep_rows(spec: SweepSpec, plan: tuple, begin: int, end: int):
+def _sweep_rows(spec: SweepSpec, plan: list, begin: int, end: int):
     """Yield (value, delta, concurrence, entropy_bits, regime) for rows begin
-    to end - 1 of spec, whose _sweep_plan is plan; it makes no gate call and
-    takes every delta as finite, as _require_finite_deltas makes sure.
+    to end - 1 of spec, whose _sweep_plan is plan. It builds the swept values
+    of these rows only, makes no gate call, and takes every delta as finite,
+    as the plan makes sure.
 
     delta, concurrence and entropy repeat the operations of
     entangling_phase_value, concurrence_from_delta and
@@ -201,13 +221,13 @@ def _sweep_rows(spec: SweepSpec, plan: tuple, begin: int, end: int):
     1 - c^2 at 0 is left out, since |sin| <= 1 keeps it idle. Calling the
     three per row costs 4-6% of perfbench's sweep_csv throughput.
     """
-    grid, stretches = plan
+    start, stop, count = spec.start, spec.stop, spec.count
     numbers = list(spec.base[:5])  # m, r1, r2, omega1, omega2
     position = _VARY_POSITIONS[spec.varying]
     hbar, pi = spec.base.constants.hbar, math.pi
     sin, sqrt, log2 = math.sin, math.sqrt, math.log2
-    for i, j, regime in stretches:
-        for value in grid[max(i, begin):min(j, end)]:
+    for i, j, regime in plan:
+        for value in _grid(start, stop, count, max(i, begin), min(j, end)):
             numbers[position] = value
             m, r1, r2, omega1, omega2 = numbers
             delta = 2.0 * m * (omega1 - omega2) * pi * ((r1 - r2) * (r1 + r2)) / hbar
@@ -220,37 +240,11 @@ def _sweep_rows(spec: SweepSpec, plan: tuple, begin: int, end: int):
             yield value, delta, conc, entropy, regime
 
 
-def _require_finite_deltas(spec: SweepSpec) -> None:
-    """Refuse the sweep, naming its first row, if a row's delta is not
-    finite, since no row can carry it. delta is linear in m and in omega2,
-    and |r1^2 - r2^2| peaks at an end or at r2 = 0, so the whole grid is
-    scanned only if delta is not finite at the two ends or at the points
-    either side of 0 of an r2 grid that crosses it (a property test pins
-    this). entangling_phase_value's bits are the kernel's."""
-    start, stop, count = spec.start, spec.stop, spec.count
-    numbers = list(spec.base[:5])  # m, r1, r2, omega1, omega2
-    position = _VARY_POSITIONS[spec.varying]
-    at = {0, count - 1}
-    if spec.varying == "r2" and start < 0 < stop:
-        below = int(-start / (stop - start) * (count - 1))  # off by at most one
-        at.update(range(below - 1, below + 3))
-
-    def deltas(rows):  # (delta, value) at the indices in rows, or at every row
-        for value in _grid(start, stop, count, rows):
-            numbers[position] = value
-            yield entangling_phase_value(*numbers, spec.base.constants), value
-
-    if not all(math.isfinite(delta) for delta, _ in deltas(at)):
-        delta, value = next(row for row in deltas(None) if not math.isfinite(row[0]))
-        raise ValueError(f"delta = {delta} is not finite at {spec.varying} = {value:g}")
-
-
 def sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate `count` evenly spaced points, endpoints included, ascending.
 
     Points that no longer form a valid configuration are kept, marked ERROR;
     a row whose delta is not finite refuses the sweep.
     """
-    _require_finite_deltas(spec)
     rows = _sweep_rows(spec, _sweep_plan(spec), 0, spec.count)
     return [SweepRow._make(row) for row in rows]

@@ -269,6 +269,25 @@ def test_the_sweep_gate_runs_once_per_regime_change_not_per_row(monkeypatch):
     changes = [(a, b) for a, b in zip(regimes, regimes[1:]) if a != b]
     assert changes == [("error", "warn"), ("warn", "ok"), ("ok", "warn"), ("warn", "error")]
     assert 1 <= len(calls) <= 4 * (math.ceil(math.log2(count)) + 2)
+    # the plan of the largest sweep builds a point per gate call, a bisection
+    # for 0 and the four ends of the sides of 0, never the whole grid
+    def built(*args):
+        values = grid(*args)
+        points.extend(values)
+        return values
+
+    grid, points = design._grid, []
+    monkeypatch.setattr(design, "_grid", built)
+    calls.clear()
+    count = MAX_SWEEP_ROWS
+    plan = design._sweep_plan(SweepSpec("omega2", -3.0, 3.0, count, BASE._replace(r2=0.5)))
+    steps = math.ceil(math.log2(count))
+    assert 1 <= len(calls) <= 4 * (steps + 2)
+    assert len(points) <= len(calls) + steps + 4
+    regimes = [regime.value for _, _, regime in plan]
+    assert [a for a, b in zip(regimes, regimes[1:] + [None]) if a != b] == [
+        "error", "warn", "ok", "warn", "error"]
+    monkeypatch.setattr(design, "_grid", grid)
     # through the CLI, which writes 98 chunks from one process or two: the
     # plan is made once, before any second process starts
     argv = ["sweep", "--vary", "omega2", "--start", "0.009", "--stop", "0.012",

@@ -46,7 +46,7 @@ from qsagnac.cli import (
     to_json,
 )
 from qsagnac.constants import ERROR_BETA, require_valid_config
-from qsagnac.design import VARY_CHOICES, _grid, _require_finite_deltas
+from qsagnac.design import VARY_CHOICES, _grid, _sweep_plan
 from qsagnac.state import MAXIMAL_TOL
 
 from helpers import ROW_NAMES, reference_sweep_rows, spec_argv
@@ -91,24 +91,29 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 HALF_MAX = sys.float_info.max / 2
 
 
-@given(FINITE, FINITE, st.integers(1, 2000))
-@example(-0.0, -0.0, 1)  # one point: numpy gives 0.0 for a start of -0.0
-@example(-0.0, 0.0, 1)
-@example(2.5, 2.5, 7)  # start == stop
-@example(-0.0, 0.0, 5)  # signed zeros at both ends
-@example(0.0, -0.0, 4)
-@example(0.0, 5e-324, 3)  # subnormal span: step rounds to 0
-@example(-5e-324, 1e-323, 9)
-@example(-HALF_MAX, HALF_MAX, 2000)  # the largest finite span
-@example(-HALF_MAX, HALF_MAX, 1)
-def test_sweep_grid_matches_numpy_linspace_bit_for_bit(a, b, count):
+@given(FINITE, FINITE, st.integers(1, 2000), st.integers(0, 2000), st.integers(0, 2000))
+@example(-0.0, -0.0, 1, 0, 1)  # one point: numpy gives 0.0 for a start of -0.0
+@example(-0.0, 0.0, 1, 1, 0)
+@example(2.5, 2.5, 7, 2, 5)  # start == stop
+@example(-0.0, 0.0, 5, 0, 1)  # signed zeros at both ends
+@example(0.0, -0.0, 4, 3, 4)
+@example(0.0, 5e-324, 3, 1, 2)  # subnormal span: step rounds to 0
+@example(-5e-324, 1e-323, 9, 4, 9)
+@example(-HALF_MAX, HALF_MAX, 2000, 1999, 2000)  # the largest finite span
+@example(-HALF_MAX, HALF_MAX, 1, 0, 1)
+def test_sweep_grid_matches_numpy_linspace_bit_for_bit(a, b, count, i, j):
     start, stop = (a, b) if a <= b else (b, a)
     assume(math.isfinite(stop - start))
     # numpy also computes the last point as div * step, which can overflow
     # near the largest span before it is overwritten with stop
     with np.errstate(over="ignore"):
         expected = np.linspace(start, stop, count).tolist()
-    assert [bits(v) for v in _grid(start, stop, count)] == [bits(v) for v in expected]
+    assert [bits(v) for v in _grid(start, stop, count, 0, count)] == [bits(v) for v in expected]
+    # a slice, as a plan's point or a stretch of a chunk builds it; the
+    # kernel also asks for empty ones, with begin past end
+    begin, end = i % (count + 1), j % (count + 1)
+    assert ([bits(v) for v in _grid(start, stop, count, begin, end)]
+            == [bits(v) for v in expected[begin:end]])
 
 
 NATURAL = UnitSystem.NATURAL
@@ -305,10 +310,10 @@ def test_the_pre_check_refuses_exactly_the_sweeps_the_kernel_refuses(spec):
         reference_sweep_rows(spec)
     except ValueError as exc:
         with pytest.raises(ValueError) as refused:
-            _require_finite_deltas(spec)
+            _sweep_plan(spec)
         assert str(refused.value) == str(exc)
     else:
-        _require_finite_deltas(spec)
+        _sweep_plan(spec)
 
 
 SWEEP_MASS = SweepSpec(  # the sweep_mass.json golden's invocation

@@ -4,8 +4,10 @@ Where a second CPU is free, a forked child renders the odd chunks and sends
 them over a pipe, each as a frame: its byte length as 8 little-endian bytes,
 then the UTF-8 text. The first process renders the even chunks, and any odd
 chunk the child did not send, and writes every chunk itself, so the output
-is the same bytes either way. It is kept out of cli.py, which every
-subcommand imports, so that only a sweep loads it.
+is the same bytes either way. That pipe, and stdout where it is a pipe, are
+raised to PIPE_BYTES where the kernel allows it, so neither process waits
+on the other for each 64 KiB that a pipe holds by default. It is kept out of
+cli.py, which every subcommand imports, so that only a sweep loads it.
 """
 
 import os
@@ -14,6 +16,8 @@ import sys
 # rows per chunk, each rendered and written as one unit (about 100 KB of CSV,
 # 200 KB of JSON): with PYTHONUNBUFFERED set, each write is a syscall
 CHUNK_ROWS = 1024
+# the capacity each pipe is raised to: Linux's default /proc/sys/fs/pipe-max-size
+PIPE_BYTES = 1 << 20
 
 
 def _fork_is_safe(chunks: int) -> bool:
@@ -28,6 +32,19 @@ def _fork_is_safe(chunks: int) -> bool:
         and len(os.sched_getaffinity(0)) > 1
         and (threading is None or threading.active_count() == 1)
     )
+
+
+def _widen(pipe) -> None:
+    """Raise pipe, a descriptor or a file, to PIPE_BYTES if it is a pipe.
+    It stays as it is past the user's pipe quota (EPERM), and where it is
+    no pipe (EBADF) or no file with a descriptor (TypeError, or the
+    OSError or ValueError that fileno() raises)."""
+    import fcntl  # not on Windows, where a sweep keeps one process
+
+    try:
+        fcntl.fcntl(pipe, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+    except (OSError, TypeError, ValueError):
+        pass
 
 
 def _send(pipe, text: str) -> None:
@@ -49,12 +66,13 @@ def _receive(pipe) -> str:
     return data.decode() if len(data) == size else ""
 
 
-def write_chunks(write, render, count: int, sep: str) -> None:
-    """Write the rows 0 to count - 1 in chunks of CHUNK_ROWS: render(i, j)
-    gives the text of rows i to j - 1, written after a newline for the first
-    chunk and after sep for the others. Where _fork_is_safe, a forked child
-    renders the odd chunks; it is at most about a chunk ahead, so memory
-    stays bounded, and it never writes to stdout itself. A chunk that no
+def write_chunks(out, render, count: int, sep: str) -> None:
+    """Write the rows 0 to count - 1 to the text file out in chunks of
+    CHUNK_ROWS: render(i, j) gives the text of rows i to j - 1, written
+    after a newline for the first chunk and after sep for the others. Where
+    _fork_is_safe, a forked child renders the odd chunks; it is at most about
+    PIPE_BYTES ahead, held in the kernel's pipe, not in either process, so
+    memory stays bounded, and it never writes to out itself. A chunk that no
     child sent, since its fork failed or it stopped, is rendered here."""
 
     def chunk(k: int) -> str:
@@ -65,6 +83,8 @@ def write_chunks(write, render, count: int, sep: str) -> None:
     pid = pipe = None
     if _fork_is_safe(chunks):
         read, send = os.pipe()
+        _widen(read)
+        _widen(out)
         parent = os.getpid()
         try:
             pid = os.fork()
@@ -86,7 +106,7 @@ def write_chunks(write, render, count: int, sep: str) -> None:
     try:
         for k in range(chunks):
             text = _receive(pipe) if k % 2 and pipe is not None else ""
-            write(text or chunk(k))
+            out.write(text or chunk(k))
     finally:
         if pipe is not None:
             pipe.close()  # a child still running stops at its next send

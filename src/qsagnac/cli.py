@@ -188,26 +188,26 @@ def cmd_solve(args) -> str:
     )
 
 
-# The kernel's tuples, not sweep()'s rows: holding a SweepRow per row costs
-# about 13% of perfbench's sweep_csv throughput and 1 MB of RSS (_value_ is a
-# plain attribute; .value goes through Enum's property). x % 1.0 > 0.0 holds
-# just for a finite x that is not an integer, where format_float's .0 rule
-# cannot fire, so such rows take one template.
-def _csv_rows(rows) -> str:
-    return "\n".join(
-        "%.17g,%.17g,%.17g,%.17g,%s" % (value, delta, conc, entropy, regime._value_)
-        if value % 1.0 > 0.0 and delta % 1.0 > 0.0 and conc % 1.0 > 0.0
-        and entropy % 1.0 > 0.0
-        else f"{format_float(value)},{format_float(delta)},{format_float(conc)},"
-        f"{format_float(entropy)},{regime._value_}"
-        for value, delta, conc, entropy, regime in rows
-    )
+# Stretches from _sweep_rows: a SweepRow per row would cost about 13% of
+# sweep_csv throughput. Each number is finite, so x % 1.0 is 0.0 just for an
+# integral x, which format_float ends in .0; a stretch with none takes one %.
+def _csv_rows(stretches) -> str:
+    lines = []
+    for flat, regime in stretches:
+        row = "%.17g,%.17g,%.17g,%.17g," + regime._value_
+        if all(map((1.0).__rmod__, flat)):
+            lines.append("\n".join([row] * (len(flat) // 4)) % tuple(flat))
+        else:  # row by row
+            lines += (row % numbers if all(map((1.0).__rmod__, numbers))
+                      else ",".join([*map(format_float, numbers), regime._value_])
+                      for numbers in zip(*[iter(flat)] * 4))
+    return "\n".join(lines)
 
 
-def _json_rows(rows) -> str:  # rows of to_json(sweep(spec))
-    from .design import SweepRow
+def _json_rows(stretches) -> str:  # rows of to_json(sweep(spec))
+    from .design import _stretch_rows
 
-    return ",\n".join("  " + to_json(SweepRow._make(row), 1) for row in rows)
+    return ",\n".join("  " + to_json(row, 1) for row in _stretch_rows(stretches))
 
 
 def cmd_sweep(args) -> str:
@@ -221,14 +221,14 @@ def cmd_sweep(args) -> str:
         head, render, sep, tail = "[", _json_rows, ",\n", "\n]"
     else:
         head, render, sep, tail = ",".join(SweepRow._fields), _csv_rows, "\n", ""
-    write = sys.stdout.write  # looked up per call, so a redirected stdout is used
-    write(head)
+    out = sys.stdout  # looked up per call, so a redirected stdout is used
+    out.write(head)
     from .chunks import write_chunks  # after the header: the first byte waits for no load
 
     def text(i: int, j: int) -> str:  # rows i to j - 1
         return render(_sweep_rows(spec, plan, i, j))
 
-    write_chunks(write, text, spec.count, sep)
+    write_chunks(out, text, spec.count, sep)
     return tail  # the rest, for main to print
 
 

@@ -9,6 +9,7 @@ landscape around those solutions.
 import math
 from bisect import bisect_right
 from collections import namedtuple
+from itertools import chain, repeat
 
 from .constants import (
     ConstantSet,
@@ -209,10 +210,12 @@ def _sweep_plan(spec: SweepSpec) -> list[tuple]:
 
 
 def _sweep_rows(spec: SweepSpec, plan: list, begin: int, end: int):
-    """Yield (value, delta, concurrence, entropy_bits, regime) for rows begin
-    to end - 1 of spec, whose _sweep_plan is plan. It builds the swept values
-    of these rows only, makes no gate call, and takes every delta as finite,
-    as the plan makes sure.
+    """Yield (flat, regime) for each stretch of plan, spec's _sweep_plan,
+    that holds any of the rows begin to end - 1: flat lists value, delta,
+    concurrence and entropy_bits of each of its rows there in turn, so a
+    caller formats or splits a stretch at once, not a row at a time. It
+    builds the swept values of these rows only, makes no gate call, and
+    takes every delta as finite, as the plan makes sure.
 
     delta, concurrence and entropy repeat the operations of
     entangling_phase_value, concurrence_from_delta and
@@ -227,6 +230,7 @@ def _sweep_rows(spec: SweepSpec, plan: list, begin: int, end: int):
     hbar, pi = spec.base.constants.hbar, math.pi
     sin, sqrt, log2 = math.sin, math.sqrt, math.log2
     for i, j, regime in plan:
+        flat = []
         for value in _grid(start, stop, count, max(i, begin), min(j, end)):
             numbers[position] = value
             m, r1, r2, omega1, omega2 = numbers
@@ -237,7 +241,18 @@ def _sweep_rows(spec: SweepSpec, plan: list, begin: int, end: int):
             entropy = 0.0 - hi * log2(hi)  # hi >= 0.5; 0.0 - x turns -0.0 into 0.0
             if lo > 0.0:
                 entropy -= lo * log2(lo)
-            yield value, delta, conc, entropy, regime
+            flat += value, delta, conc, entropy
+        if flat:
+            yield flat, regime
+
+
+def _stretch_rows(stretches):
+    """The SweepRows of _sweep_rows's (flat, regime) pairs, in order."""
+    # zip takes four numbers at a time from the one iterator over flat
+    return chain.from_iterable(
+        map(SweepRow._make, zip(*[iter(flat)] * 4, repeat(regime)))
+        for flat, regime in stretches
+    )
 
 
 def sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -246,5 +261,4 @@ def sweep(spec: SweepSpec) -> list[SweepRow]:
     Points that no longer form a valid configuration are kept, marked ERROR;
     a row whose delta is not finite refuses the sweep.
     """
-    rows = _sweep_rows(spec, _sweep_plan(spec), 0, spec.count)
-    return [SweepRow._make(row) for row in rows]
+    return list(_stretch_rows(_sweep_rows(spec, _sweep_plan(spec), 0, spec.count)))

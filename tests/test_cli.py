@@ -536,12 +536,33 @@ def forks_counted(monkeypatch, cpus):
     return forks
 
 
-@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def pipe_quota_spent(monkeypatch):
+    """Make fcntl refuse every F_SETPIPE_SZ, as past the user's pipe quota,
+    and count the refusals."""
+    import fcntl
+
+    refused = []
+
+    def setpipe_refused(fd, cmd, *arg):
+        if cmd == fcntl.F_SETPIPE_SZ:
+            refused.append(fd)
+            raise PermissionError(1, "Operation not permitted")
+        return real_fcntl(fd, cmd, *arg)
+
+    real_fcntl = fcntl.fcntl
+    monkeypatch.setattr(fcntl, "fcntl", setpipe_refused)
+    return refused
+
+
+@pytest.mark.parametrize("cpus, quota_spent", [({0}, False), ({0, 1}, False), ({0, 1}, True)],
+                         ids=["cpus0", "cpus1", "cpus1-pipe-quota-spent"])
 def test_sweep_bytes_are_the_same_across_chunk_edges_on_one_or_two_processes(
-        capsys, monkeypatch, cpus):
+        capsys, monkeypatch, cpus, quota_spent):
     # two CPUs: a forked child renders the odd chunks of every sweep of more
-    # than one chunk; one CPU: this process renders them all
+    # than one chunk; one CPU: this process renders them all. A pipe that
+    # cannot be widened is used as it is.
     forks = forks_counted(monkeypatch, cpus)
+    refused = pipe_quota_spent(monkeypatch) if quota_spent else []
     for spec in EDGE_SPECS:
         for fmt in "csv", "json":
             code, out, err = run(capsys, *spec_argv(spec, fmt))
@@ -555,6 +576,22 @@ def test_sweep_bytes_are_the_same_across_chunk_edges_on_one_or_two_processes(
     assert changes[0] > chunks.CHUNK_ROWS and changes[-1] == 2 * chunks.CHUNK_ROWS
     two = [spec for spec in EDGE_SPECS if spec.count > chunks.CHUNK_ROWS]
     assert len(forks) == (2 * len(two) if len(cpus) > 1 else 0)
+    # the chunk pipe and stdout, once for each sweep on two processes
+    assert len(refused) == (2 * len(forks) if quota_spent else 0)
+
+
+def test_a_sweep_on_two_processes_raises_a_piped_stdout_to_1_mib():
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_GETPIPE_SZ") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs fcntl.F_GETPIPE_SZ and two usable CPUs")
+    spec = SweepSpec("omega2", 0.009, 0.012, 5000, SWEEP_BASE)
+    with subprocess.Popen(
+            [sys.executable, "-c", ENTRY_POINT, *spec_argv(spec, "csv")],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=package_env()) as proc:
+        out = proc.stdout.read()
+        assert proc.wait(timeout=60) == 0
+        assert fcntl.fcntl(proc.stdout, fcntl.F_GETPIPE_SZ) == 1 << 20
+    assert out.decode() == expected_sweep_output(spec, "csv")
 
 
 def test_a_failed_fork_leaves_every_chunk_to_this_process(capsys, monkeypatch):
@@ -766,7 +803,10 @@ def test_ctrl_c_leaves_no_process_and_at_most_one_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-c", ENTRY_POINT, *sweep_argv(200_000, "csv")],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=package_env(),
-        start_new_session=True)
+        start_new_session=True,
+        # a child inherits an ignored SIGINT, as from a shell's background
+        # job, and then Python installs no KeyboardInterrupt handler
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
     for _ in range(3 * chunks.CHUNK_ROWS):  # past the child's first chunk
         proc.stdout.readline()
     os.killpg(proc.pid, signal.SIGINT)

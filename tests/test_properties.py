@@ -254,6 +254,9 @@ R2_OVERFLOW_ABOVE_ZERO = SweepSpec(
 @example(SweepSpec("omega2", -0.02, -0.0, 3, base()))
 @example(SweepSpec("mass", 0.5, 1.5, 3, base(omega2=0.01)))
 @example(SweepSpec("omega2", SOLVED, SOLVED, 1, SOLVE_BASE))
+# three chunks, the first two each with one integral mass (1.0 at row 512,
+# 2.0 at row 1536) among rows that are not integral
+@example(SweepSpec("mass", 0.5, 2.5, 2049, base()))
 def test_sweep_rows_equal_the_per_row_reference_bit_for_bit(spec):
     try:
         expected = reference_sweep_rows(spec)

@@ -11,10 +11,9 @@ pipe early, 2 argument error, 130 Ctrl-C.
 import math
 import os
 import sys
-from enum import Enum
 from types import SimpleNamespace
 
-from .constants import UnitSystem, constants_for, regime_check
+from .constants import UnitSystem, _Members, constants_for, regime_check
 
 # Each cmd_<name> imports its own modules when it runs. So the config flags,
 # InterferometerConfig._fields[:5], and --vary's choices, design.VARY_CHOICES,
@@ -35,14 +34,14 @@ def format_float(x: float) -> str:
 def to_json(value, indent: int = 0) -> str:
     """Serializer with fixed float formatting (stdlib json hardcodes repr).
 
-    A named tuple prints as its fields, an Enum as its value, and a
-    complex number as {"re", "im"}.
+    A named tuple prints as its fields, a UnitSystem or RegimeStatus member
+    as its value, and a complex number as {"re", "im"}.
     """
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, str):
         return '"' + value + '"'
-    if isinstance(value, Enum):
+    if isinstance(value, _Members):
         return to_json(value._value_, indent)
     if hasattr(value, "_asdict"):  # a named tuple, before the tuple branch
         value = value._asdict()

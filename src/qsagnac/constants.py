@@ -17,10 +17,49 @@ relation a0 = hbar / (m_e c alpha) in both systems.
 import math
 import operator
 from collections import namedtuple
-from enum import Enum
 
 
-class UnitSystem(Enum):
+class _MemberType(type):
+    """Cls(value) is one dict lookup, and iterating Cls gives its members in
+    declaration order."""
+
+    def __call__(cls, value):
+        try:
+            return cls._lookup[value]
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            raise ValueError(f"{value!r} is not a valid {cls.__qualname__}") from None
+
+    def __iter__(cls):
+        return iter(cls._members)
+
+
+class _Members(metaclass=_MemberType):
+    """A fixed set of named values, with the part of Enum's surface the
+    package uses. Each public class attribute of a subclass becomes a member
+    holding .name, and .value and ._value_ as plain attributes."""
+
+    def __init_subclass__(cls):
+        pairs = [(k, v) for k, v in vars(cls).items() if not k.startswith("_")]
+        cls._members = tuple(object.__new__(cls) for _ in pairs)
+        for member, (name, value) in zip(cls._members, pairs):
+            vars(member).update(name=name, value=value, _value_=value)
+            setattr(cls, name, member)
+        cls._lookup = {key: m for m in cls._members for key in (m.value, m)}
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r} of a {type(self).__name__}")
+
+    def __repr__(self):
+        return f"<{type(self).__name__}.{self.name}: {self.value!r}>"
+
+    def __str__(self):
+        return f"{type(self).__name__}.{self.name}"
+
+    def __reduce__(self):  # so pickle, copy and deepcopy give the same member
+        return type(self), (self.value,)
+
+
+class UnitSystem(_Members):
     SI = "si"
     NATURAL = "natural"
 
@@ -68,17 +107,20 @@ _SI = ConstantSet(
 
 _NATURAL = ConstantSet(hbar=1.0, c=1.0, m_e=1.0, a0=1.0 / _ALPHA, alpha=_ALPHA)
 
+# bound once: on Python 3.11 a read off the class is a type lookup each time
+_UNITS_SI, _UNITS_NATURAL = UnitSystem.SI, UnitSystem.NATURAL
+
 
 def constants_for(units: UnitSystem) -> ConstantSet:
     """Fixed constant table for a unit system; ValueError for anything else."""
-    if units is UnitSystem.SI:
+    if units is _UNITS_SI:
         return _SI
-    if units is UnitSystem.NATURAL:
+    if units is _UNITS_NATURAL:
         return _NATURAL
     raise ValueError(f"unknown unit system: {units!r}")
 
 
-class RegimeStatus(Enum):
+class RegimeStatus(_Members):
     OK = "ok"
     WARN = "warn"
     ERROR = "error"
@@ -94,10 +136,6 @@ RegimeCheck = namedtuple("RegimeCheck", "beta status")
 WARN_BETA = 0.1
 ERROR_BETA = 1.0
 
-# bound once: reading a member off an Enum class goes through EnumType's
-# __getattr__ hook, about ten times the cost of reading a global
-_OK, _WARN, _ERROR = RegimeStatus.OK, RegimeStatus.WARN, RegimeStatus.ERROR
-
 
 def regime_check(omega: float, r: float, consts: ConstantSet) -> RegimeCheck:
     """Classify how far (omega, r) sits from the flat-background regime.
@@ -110,17 +148,17 @@ def regime_check(omega: float, r: float, consts: ConstantSet) -> RegimeCheck:
         raise ValueError("radius must be non-negative")
     beta = abs(omega) * r / consts.c
     if not beta < ERROR_BETA:
-        return RegimeCheck(beta, _ERROR)
+        return RegimeCheck(beta, RegimeStatus.ERROR)
     if beta > WARN_BETA:
-        return RegimeCheck(beta, _WARN)
-    return RegimeCheck(beta, _OK)
+        return RegimeCheck(beta, RegimeStatus.WARN)
+    return RegimeCheck(beta, RegimeStatus.OK)
 
 
 def require_linear_regime(omega: float, r: float, consts: ConstantSet) -> RegimeCheck:
     """regime_check that raises ValueError when the status is Error or when
     r^2, which every area and metric component carries, overflows a double."""
     check = regime_check(omega, r, consts)
-    if check.status is _ERROR:
+    if check.status is RegimeStatus.ERROR:
         raise ValueError(f"rim speed beta = {check.beta:g} is outside the linear regime")
     if math.isinf(r * r):
         raise ValueError(f"radius {r:g} is too large: r^2 overflows a double")

@@ -5,6 +5,13 @@ omega has g00 = -1 + omega^2 r^2 / c^2 and the frame-dragging coupling
 g0phi = omega r^2 / c; the background is the flat cylindrical metric
 diag(-1, 1, r^2, 1), so the perturbation h = g - background carries
 h00 = omega^2 r^2 / c^2.
+
+The loop phase of phase.py is the frame-dragging term read off the metric:
+
+    phi = 2 pi m c g0phi / hbar = (2 m / hbar) omega pi r^2,
+
+the reading on which the equivalence-principle argument rests, beside the
+energy route through h00 that phase.py states.
 """
 
 from collections import namedtuple

@@ -17,7 +17,6 @@ with concurrence |sin(delta/2)|: zero for the initial product form
 target |r1>(|omega1> + |omega2>) + |r2>(|omega1> - |omega2>).
 """
 
-import cmath
 import math
 from collections import namedtuple
 
@@ -108,6 +107,8 @@ def assemble_full_state(cfg: InterferometerConfig) -> PureState2x2:
 
     Raises ValueError when a branch phase is past double resolution.
     """
+    import cmath  # here, so only a state call loads the extension
+
     _require_loops(cfg)
     consts = cfg.constants
     phases = [

@@ -28,6 +28,8 @@ from qsagnac import (
     entanglement_report,
     entangling_phase_value,
     hydrogen_pair_report,
+    loop_phase,
+    rotating_disk_metric,
     sagnac_phase,
     solve_omega2,
     solve_r2,
@@ -62,6 +64,35 @@ def test_criterion_1_phase_chain_identity():
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     report_pass(1, "loop-phase chain identity, 1000 random inputs", t0)
+
+
+# decades of m, r and |omega| per unit system, with rims on both sides of c
+METRIC_DECADES = {"si": ((-30, -10), (-4, 2), (0, 9)), "natural": ((-3, 6), (-2, 2), (-4, 1))}
+
+
+def test_criterion_1_phase_from_the_metric():
+    # phi = 2 pi m c g0phi / hbar, since g0phi = omega r^2 / c: the loop phase
+    # is the metric's frame-dragging term, beside the h00 energy route
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(103)
+    accepted = {}
+    for units in UnitSystem:
+        consts = constants_for(units)
+        masses, radii, frequencies = METRIC_DECADES[units.value]
+        accepted[units] = 0
+        for _ in range(2000):
+            m, r = 10.0 ** rng.uniform(*masses), 10.0 ** rng.uniform(*radii)
+            omega = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(*frequencies)
+            try:
+                g0phi = rotating_disk_metric(omega, r, consts).rows[0][2]
+            except ValueError:  # a rim at or past light speed
+                continue
+            accepted[units] += 1
+            phi = loop_phase(m, omega, r, consts)
+            from_metric = 2.0 * math.pi * m * consts.c * g0phi / consts.hbar
+            assert math.isclose(phi, from_metric, rel_tol=1e-15), (units, m, omega, r)
+    assert all(n > 500 for n in accepted.values()), accepted
+    report_pass(1, "loop phase from the metric's g0phi, both unit systems", t0)
 
 
 def test_criterion_2_product_to_entangled_transition():

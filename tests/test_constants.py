@@ -1,4 +1,10 @@
+import copy
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +24,12 @@ from qsagnac.constants import require_linear_regime, require_valid_config
 
 NATURAL = constants_for(UnitSystem.NATURAL)
 SI = constants_for(UnitSystem.SI)
+
+
+def member_id(value):
+    """str(member) as a member's test id, which pytest gives an Enum member
+    and no other class; None leaves any other value's id to pytest."""
+    return str(value) if isinstance(value, (UnitSystem, RegimeStatus)) else None
 
 
 def test_natural_units_are_exact():
@@ -61,6 +73,58 @@ def test_constants_for_refuses_anything_but_a_unit_system():
             constants_for(units)
 
 
+MEMBERS = [*UnitSystem, *RegimeStatus]
+
+
+def test_members_iterate_in_declaration_order():
+    assert [m.name for m in UnitSystem] == ["SI", "NATURAL"]
+    assert [m.name for m in RegimeStatus] == ["OK", "WARN", "ERROR"]
+    assert list(UnitSystem) == [UnitSystem.SI, UnitSystem.NATURAL]
+
+
+@pytest.mark.parametrize("member", MEMBERS, ids=member_id)
+def test_a_member_is_found_by_its_value_or_itself(member):
+    cls = type(member)
+    assert cls(member.value) is member
+    assert cls(member) is member
+    assert isinstance(member, cls)
+
+
+@pytest.mark.parametrize("member", MEMBERS, ids=member_id)
+def test_a_member_prints_and_reads_as_an_enum_member_does(member):
+    cls, name, value = type(member).__name__, member.name, member.value
+    assert getattr(type(member), name) is member
+    assert value == member._value_ == name.lower()
+    assert repr(member) == f"<{cls}.{name}: {value!r}>"
+    assert str(member) == f"{member}" == f"{cls}.{name}"
+    with pytest.raises(AttributeError):
+        member.value = "other"
+
+
+@pytest.mark.parametrize("member", MEMBERS, ids=member_id)
+def test_pickle_and_copies_give_the_same_member(member):
+    assert pickle.loads(pickle.dumps(member)) is member
+    assert copy.copy(member) is member
+    assert copy.deepcopy(member) is member
+    assert copy.deepcopy([member])[0] is member
+
+
+@pytest.mark.parametrize(
+    "cls,value,message",
+    [
+        (UnitSystem, "furlong", "'furlong' is not a valid UnitSystem"),
+        (UnitSystem, "SI", "'SI' is not a valid UnitSystem"),
+        (UnitSystem, ["si"], "['si'] is not a valid UnitSystem"),  # unhashable
+        (UnitSystem, RegimeStatus.OK, "<RegimeStatus.OK: 'ok'> is not a valid UnitSystem"),
+        (RegimeStatus, None, "None is not a valid RegimeStatus"),
+    ],
+)
+def test_an_unknown_value_is_refused_in_enums_words(cls, value, message):
+    with pytest.raises(ValueError) as refused:
+        cls(value)
+    assert str(refused.value) == message
+
+
 def test_constant_set_refusals():
     fields = dict(hbar=1.0, c=1.0, m_e=1.0, a0=137.0, alpha=0.0073)
     for name in fields:
@@ -78,7 +142,7 @@ def test_constant_set_refusals():
         (0.01, 1.0, 0.01, RegimeStatus.OK),
         (0.75, 1.41421356, 0.75 * 1.41421356, RegimeStatus.ERROR),
         (0.25, 1.41421356, 0.25 * 1.41421356, RegimeStatus.WARN),
-    ],
+    ],    ids=member_id,
 )
 def test_regime_check_examples(omega, r, expected_beta, expected_status):
     check = regime_check(omega, r, NATURAL)
@@ -158,7 +222,7 @@ def test_the_gate_refuses_in_its_own_words(gate, args, message):
         (UnitSystem.NATURAL, 1.0, 1.0, 0.1),
         (UnitSystem.NATURAL, 1000.0, 1.41421356, -0.25),
         (UnitSystem.SI, 1e-21, 0.01, 1e3),
-    ],
+    ],    ids=member_id,
 )
 def test_each_gate_builds_on_the_one_before(monkeypatch, units, m, r, omega):
     consts = constants_for(units)
@@ -181,3 +245,28 @@ def test_each_gate_builds_on_the_one_before(monkeypatch, units, m, r, omega):
     sagnac_phase(m, omega, r, consts)
     seen.append(len(calls))
     assert seen == [1, 2, 3]
+
+
+# One fast-path entangle call in a fresh interpreter without site (-S), since a
+# site may preload modules and hide an import; prints the modules the call
+# added to those loaded at start.
+FAST_PATH_PROBE = """
+import io, sys
+before = set(sys.modules)
+sys.stdout = io.StringIO()
+from qsagnac.cli import main
+code = main(["entangle", "--m", "1000", "--r1", "1", "--r2", "1.41421356237",
+             "--omega1", "0.01", "--omega2", "0.0105", "--units", "natural"])
+assert code == 0 and '"concurrence"' in sys.stdout.getvalue()
+sys.__stdout__.write(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_a_fast_path_call_loads_no_enum_argparse_or_extension():
+    src = str(Path(constants.__file__).parents[1])
+    added = subprocess.run(
+        [sys.executable, "-S", "-c", FAST_PATH_PROBE], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    ).stdout.split()
+    assert "qsagnac.state" in added
+    assert {"enum", "functools", "argparse", "re", "cmath", "numpy"}.isdisjoint(added)

@@ -349,7 +349,7 @@ K = st.integers(-3, 3) | st.integers(-(10**6), 10**6)
 @st.composite
 def parameters(draw):
     """(m, r1, r2, omega1, omega2, consts), SI or natural."""
-    units = draw(st.sampled_from(UnitSystem))
+    units = draw(st.sampled_from(list(UnitSystem)))
     masses, radii, frequencies = (magnitudes(*decades) for decades in SCALES[units])
     omega1, omega2 = (draw(SIGNS) * draw(frequencies) for _ in range(2))
     return (draw(masses), draw(radii), draw(radii), omega1, omega2,

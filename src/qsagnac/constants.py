@@ -65,7 +65,12 @@ class UnitSystem(_Members):
 
 
 class _Checked:
-    """Named-tuple base whose _make, and so _replace, runs __new__'s checks."""
+    """Named-tuple base whose _make, and so _replace, runs __new__'s checks.
+
+    A record with no checks is built as tuple.__new__(Record, values), which
+    skips the __new__ that namedtuple writes in Python; a _Checked record is
+    built that way only as cls inside its own __new__.
+    """
 
     __slots__ = ()
 
@@ -148,10 +153,10 @@ def regime_check(omega: float, r: float, consts: ConstantSet) -> RegimeCheck:
         raise ValueError("radius must be non-negative")
     beta = abs(omega) * r / consts.c
     if not beta < ERROR_BETA:
-        return RegimeCheck(beta, RegimeStatus.ERROR)
+        return tuple.__new__(RegimeCheck, (beta, RegimeStatus.ERROR))
     if beta > WARN_BETA:
-        return RegimeCheck(beta, RegimeStatus.WARN)
-    return RegimeCheck(beta, RegimeStatus.OK)
+        return tuple.__new__(RegimeCheck, (beta, RegimeStatus.WARN))
+    return tuple.__new__(RegimeCheck, (beta, RegimeStatus.OK))
 
 
 def require_linear_regime(omega: float, r: float, consts: ConstantSet) -> RegimeCheck:

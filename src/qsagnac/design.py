@@ -59,20 +59,40 @@ class SweepSpec(_Checked, namedtuple("SweepSpec", "varying start stop count base
 SweepRow = namedtuple("SweepRow", "value delta concurrence entropy_bits regime")
 
 
-def _require_solution(numbers: list, position: int, consts: ConstantSet) -> None:
-    # A solver answer x = numbers[position] must form a valid configuration,
-    # and x and the doubles 8 ulp either side of it must each reach
-    # concurrence 1 - MAXIMAL_TOL, or x is not the answer to within its own
-    # rounding: refuse it rather than return it. delta is monotone in x and
-    # |sin(delta/2)| is concave between its zeros, so the worst double of the
-    # window is at one of its ends; x itself goes first, which also catches
-    # a window so wide that its ends wrap to odd multiples of pi.
-    require_valid_config(*numbers, consts)
-    x = numbers[position]
+def _require_solution(
+    m: float,
+    r1: float,
+    r2: float,
+    omega1: float,
+    omega2: float,
+    position: int,
+    consts: ConstantSet,
+) -> None:
+    # A solver answer x, r2 or omega2 as position picks, must form a valid
+    # configuration, and x and the doubles 8 ulp either side of it must each
+    # reach concurrence 1 - MAXIMAL_TOL, or x is not the answer to within its
+    # own rounding: refuse it rather than return it. delta is monotone in x
+    # and |sin(delta/2)| is concave between its zeros, so the worst double of
+    # the window is at one of its ends; x itself goes first, which also
+    # catches a window so wide that its ends wrap to odd multiples of pi.
+    # The numbers go as plain arguments: CPython takes a slower path for a
+    # call with *args.
+    require_valid_config(m, r1, r2, omega1, omega2, consts)
+    varies_r2 = position == _VARY_POSITIONS["r2"]
+    x = r2 if varies_r2 else omega2
     step = 8.0 * math.ulp(x)
     for value in x, x - step, x + step:
-        numbers[position] = value
-        c = concurrence_from_delta(entangling_phase_value(*numbers, consts))
+        if varies_r2:
+            r2 = value
+        else:
+            omega2 = value
+        delta = entangling_phase_value(m, r1, r2, omega1, omega2, consts)
+        try:
+            c = concurrence_from_delta(delta)
+        except ValueError:  # sin of an infinite delta: a partial product overflowed
+            raise ValueError(
+                f"solution not resolvable in double precision: delta = {delta}"
+            ) from None
         if not 1.0 - c <= MAXIMAL_TOL:  # also refuses a nan delta
             raise ValueError(
                 f"solution not resolvable in double precision: concurrence {c:.12g}"
@@ -101,7 +121,7 @@ def solve_omega2(
     if denominator == 0:
         raise ValueError("no solution: 2 m (A1 - A2) is zero")
     omega2 = omega1 - _odd(k) * math.pi * consts.hbar / denominator
-    _require_solution([m, r1, r2, omega1, omega2], _VARY_POSITIONS["omega2"], consts)
+    _require_solution(m, r1, r2, omega1, omega2, _VARY_POSITIONS["omega2"], consts)
     return omega2
 
 
@@ -120,7 +140,7 @@ def solve_r2(
     if radicand < 0:
         raise ValueError("no real radius for this k")
     r2 = math.sqrt(radicand)
-    _require_solution([m, r1, r2, omega1, omega2], _VARY_POSITIONS["r2"], consts)
+    _require_solution(m, r1, r2, omega1, omega2, _VARY_POSITIONS["r2"], consts)
     return r2
 
 
@@ -250,7 +270,7 @@ def _stretch_rows(stretches):
     """The SweepRows of _sweep_rows's (flat, regime) pairs, in order."""
     # zip takes four numbers at a time from the one iterator over flat
     return chain.from_iterable(
-        map(SweepRow._make, zip(*[iter(flat)] * 4, repeat(regime)))
+        map(tuple.__new__, repeat(SweepRow), zip(*[iter(flat)] * 4, repeat(regime)))
         for flat, regime in stretches
     )
 

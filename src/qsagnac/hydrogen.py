@@ -42,7 +42,7 @@ def bohr_orbit(n: int, consts: ConstantSet) -> BohrOrbit:
         omega = consts.alpha * consts.c / ((n**3) * consts.a0)
     except OverflowError:
         raise ValueError("quantum number is too large for a double") from None
-    return BohrOrbit(n, r, omega, math.pi * r * r)
+    return tuple.__new__(BohrOrbit, (n, r, omega, math.pi * r * r))
 
 
 def hydrogen_phase(n: int, consts: ConstantSet) -> HydrogenPhases:
@@ -50,7 +50,7 @@ def hydrogen_phase(n: int, consts: ConstantSet) -> HydrogenPhases:
     and the full loop-phase-law value, which is exactly twice as large."""
     orbit = bohr_orbit(n, consts)
     phi = loop_phase(consts.m_e, orbit.omega, orbit.r, consts)
-    return HydrogenPhases(0.5 * phi, phi)
+    return tuple.__new__(HydrogenPhases, (0.5 * phi, phi))
 
 
 def hydrogen_pair_report(n1: int, n2: int, consts: ConstantSet) -> EntanglementReport:

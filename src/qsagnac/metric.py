@@ -68,7 +68,7 @@ def rotating_disk_metric(omega: float, r: float, consts: ConstantSet) -> DiskMet
         (g0phi, 0.0, float(r * r), 0.0),
         (0.0, 0.0, 0.0, 1.0),
     )
-    return DiskMetric(rows, float(omega), float(r), regime)
+    return tuple.__new__(DiskMetric, (rows, float(omega), float(r), regime))
 
 
 def perturbation(metric: DiskMetric) -> Perturbation:
@@ -79,11 +79,8 @@ def perturbation(metric: DiskMetric) -> Perturbation:
     which adds back to the metric exactly.
     """
     beta = metric.regime.beta
-    return Perturbation(
-        h00=beta * beta,
-        h0phi=metric.rows[0][2],
-        full=tuple(
-            tuple(g - f for g, f in zip(g_row, f_row))
-            for g_row, f_row in zip(metric.rows, flat_background(metric.r))
-        ),
+    full = tuple(
+        tuple(g - f for g, f in zip(g_row, f_row))
+        for g_row, f_row in zip(metric.rows, flat_background(metric.r))
     )
+    return tuple.__new__(Perturbation, (beta * beta, metric.rows[0][2], full))

@@ -50,12 +50,15 @@ def sagnac_phase(m: float, omega: float, r: float, consts: ConstantSet) -> Phase
     """
     check = require_valid_config(m, r, r, omega, omega, consts)
     beta = check.beta
-    return PhaseResult(
-        loop_phase(m, omega, r, consts),
-        None if omega == 0 else loop_time(omega),
-        math.pi * r * r,
-        beta * beta,
-        check,
+    return tuple.__new__(
+        PhaseResult,
+        (
+            loop_phase(m, omega, r, consts),
+            None if omega == 0 else loop_time(omega),
+            math.pi * r * r,
+            beta * beta,
+            check,
+        ),
     )
 
 

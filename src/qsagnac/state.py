@@ -162,8 +162,9 @@ def report_from_parameters(
     s1, s2 = abs(math.cos(quarter)), abs(math.sin(quarter))
     if s1 < s2:  # descending; a tie keeps the cosine first
         s1, s2 = s2, s1
-    return EntanglementReport(
-        delta, c, (s1, s2), entropy_from_concurrence(c), abs(c - 1.0) <= MAXIMAL_TOL
+    return tuple.__new__(
+        EntanglementReport,
+        (delta, c, (s1, s2), entropy_from_concurrence(c), abs(c - 1.0) <= MAXIMAL_TOL),
     )
 
 

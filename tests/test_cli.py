@@ -889,6 +889,11 @@ def test_domain_errors_exit_1_with_clean_stdout(capsys):
          "--r1", "1e-100", "--r2", "2e-100", "--omega1", "0.01", "--k", "0"],
         ["solve", "--target", "r2", "--units", "natural", "--m", "1e-300",
          "--r1", "1", "--omega1", "1e-30", "--omega2", "0", "--k", "0"],
+        # an answer whose delta overflows to inf when the solver checks it
+        ["solve", "--target", "omega2", "--units", "natural",
+         "--m", "1.300140875711561e+222", "--r1", "8.564961446841678e-155",
+         "--r2", "8.56922855684697e-155", "--omega1", "-4.3197412138776576e-180",
+         "--k", "0"],
         # r * r overflows
         ["metric", "--units", "natural", "--omega", "0", "--r", "1e200"],
         ["phase", "--units", "natural", "--m", "1", "--omega", "0", "--r", "1e200"],
@@ -910,3 +915,4 @@ def test_domain_errors_exit_1_with_clean_stdout(capsys):
         assert out == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1  # one-line diagnostic
+        assert "math domain error" not in err, argv

@@ -94,6 +94,11 @@ def test_solve_omega2_errors():
     for m in (1e-14, 1e-17):
         with pytest.raises(ValueError, match="double precision"):
             solve_omega2(m, 0.01, 0.011, 1e3, 0, SI)
+    # a partial product of the answer's delta overflows, and sin(inf) raises:
+    # refused in the solver's words, not as a math domain error
+    with pytest.raises(ValueError, match="double precision: delta = inf"):
+        solve_omega2(1.300140875711561e222, 8.564961446841678e-155,
+                     8.56922855684697e-155, -4.3197412138776576e-180, 0, NATURAL)
     with pytest.raises(ValueError, match="radii"):
         solve_omega2(1000.0, -1.0, 2.0, 0.01, 0, NATURAL)
     with pytest.raises(ValueError):  # not OverflowError

@@ -391,13 +391,19 @@ def main(argv=None) -> int:
     if message is not None:
         print(f"usage error: {message}", file=sys.stderr)
         return 2
+    if sys.stdout is None:  # started with stdout closed, as `>&-` does
+        print("error: cannot write the output: stdout is closed", file=sys.stderr)
+        return 1
     try:
         print(args.run(args))
-        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        sys.stdout.flush()  # so a failed write raises here, not at exit
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:  # the reader stopped early, as `| head` does
+    except OSError as exc:  # a failed write, as to a full disk
+        # a broken pipe is silent: the reader stopped early, as `| head` does
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
         # point stdout at devnull, so the flush at interpreter exit succeeds
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

@@ -7,7 +7,7 @@ landscape around those solutions.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import chain, repeat
 
@@ -26,6 +26,7 @@ from .state import MAXIMAL_TOL, InterferometerConfig, concurrence_from_delta
 _VARY_POSITIONS = {"omega2": 4, "r2": 2, "mass": 0}
 VARY_CHOICES = tuple(_VARY_POSITIONS)
 MAX_SWEEP_ROWS = 10**6  # sweep() returns a list, so --count is bounded
+_REGIMES = tuple(RegimeStatus)  # the gate's verdicts by rank: OK, WARN, ERROR
 
 
 class SweepSpec(_Checked, namedtuple("SweepSpec", "varying start stop count base")):
@@ -166,29 +167,31 @@ def _grid(start: float, stop: float, count: int, begin: int, end: int) -> list[f
 
 def _sweep_plan(spec: SweepSpec) -> list[tuple]:
     """The stretches (i, j, regime) of spec's grid, in grid order: rows i to
-    j - 1 take the config gate's regime, ERROR where it refuses them. Refuses
-    the sweep, naming its first row, if a row's delta is not finite, since no
-    row can carry it. It reads O(log count) grid points per change of
-    regime, never the whole grid.
+    j - 1 take the config gate's regime, ERROR where it refuses them. On
+    each side of 0 they are the runs of equal verdicts, at most three.
+    Refuses the sweep, naming its first row, if a row's delta is not
+    finite, since no row can carry it.
 
     The swept value enters require_valid_config only through m > 0, r2 >= 0,
     |omega2|, max(r1, r2), max(|omega1|, |omega2|) * r / c and r * r, each
     monotone in it on either side of 0, in floating point too, since each
-    operation is correctly rounded. So up to 0 the verdict never gets
-    harsher along the grid, which ascends, and past 0 it never gets milder:
-    a stretch on one side whose two ends get one verdict gets it on every
-    row. A stretch whose ends differ is halved, so each change of regime
-    costs O(log count) gate calls, where a call per row would cost about
-    half the kernel's time. delta is linear in m and in omega2, and
-    r1^2 - r2^2 is monotone on either side of 0, so |delta| peaks at the
-    first or last row of a side; only if it is not finite there is the
-    grid scanned, with entangling_phase_value, whose bits are the kernel's
-    (a property test pins the refusal to a row-by-row reference).
+    operation is correctly rounded. So with the verdicts ranked OK < WARN <
+    ERROR, the rank never rises along the grid, which ascends, up to 0 and
+    never falls past it. A side's first row of each rank is then found by
+    bisection, with the rank (negated below 0) as key: O(log count) gate
+    calls per change of regime, never the whole grid, where a call per row
+    would cost about half the kernel's time. delta is linear in m and in
+    omega2, and r1^2 - r2^2 is monotone on either side of 0, so |delta|
+    peaks at the first or last row of a side; only if it is not finite
+    there is the grid scanned, with entangling_phase_value, whose bits are
+    the kernel's (a property test pins the refusal to a row-by-row
+    reference).
     """
     numbers = list(spec.base[:5])  # m, r1, r2, omega1, omega2
     position = _VARY_POSITIONS[spec.varying]
     consts = spec.base.constants
     start, stop, count = spec.start, spec.stop, spec.count
+    rows = range(count)
 
     def point(i: int) -> float:  # the swept value at row i
         return _grid(start, stop, count, i, i + 1)[0]
@@ -197,35 +200,29 @@ def _sweep_plan(spec: SweepSpec) -> list[tuple]:
         numbers[position] = point(i)
         return entangling_phase_value(*numbers, consts)
 
-    def regime(i: int) -> RegimeStatus:
+    def rank(i: int) -> int:  # the gate's verdict at row i, by its index in _REGIMES
         numbers[position] = point(i)
         try:
-            return require_valid_config(*numbers, consts).status
+            status = require_valid_config(*numbers, consts).status
         except ValueError:
-            return RegimeStatus.ERROR
+            status = RegimeStatus.ERROR
+        return _REGIMES.index(status)
 
-    split = bisect_right(range(count), 0.0, key=point)
-    # the first and last rows of each side of 0 that has any
-    sides = [(i, j) for i, j in ((0, split - 1), (split, count - 1)) if i <= j]
-    if not all(math.isfinite(delta(k)) for side in sides for k in side):
-        i = next(i for i in range(count) if not math.isfinite(delta(i)))
+    split = bisect_right(rows, 0.0, key=point)
+    # (i, j, sign) for each side of 0 that has any rows, i to j - 1, along
+    # which sign * rank never falls
+    sides = [(i, j, sign) for i, j, sign in ((0, split, -1), (split, count, 1)) if i < j]
+    if not all(math.isfinite(delta(k)) for i, j, _ in sides for k in (i, j - 1)):
+        i = next(i for i in rows if not math.isfinite(delta(i)))
         raise ValueError(f"delta = {delta(i)} is not finite at {spec.varying} = {point(i):g}")
-    # (i, j, regime at i, regime at j): rows i to j - 1 are still to be
-    # planned, and i and j lie on one side of 0. A stack, so the later half
-    # goes in first and the stretches come out in grid order.
-    todo = []
-    for i, j in reversed(sides):
-        last = regime(j)
-        todo += (j, j + 1, last, last), (i, j, regime(i), last)
     stretches = []
-    while todo:
-        i, j, first, last = todo.pop()
-        if first is not last and j > i + 1:  # the regime changes within
-            mid = (i + j) // 2
-            middle = regime(mid)
-            todo += (mid, j, middle, last), (i, mid, first, middle)
-        else:
-            stretches.append((i, j, first))
+    for i, j, sign in sides:
+        levels = range(sign * rank(i), sign * rank(j - 1) + 1)
+        # the first row of each later level lies between the end rows
+        edges = [i, *(bisect_left(rows, level, i + 1, j - 1, key=lambda k: sign * rank(k))
+                      for level in levels[1:]), j]
+        stretches += ((a, b, _REGIMES[sign * level])
+                      for level, a, b in zip(levels, edges, edges[1:]) if a < b)
     return stretches
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -829,6 +830,27 @@ def test_a_reader_that_is_gone_before_a_short_output_gets_no_traceback():
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("redirect", [">&-", "> /dev/full"])
+@pytest.mark.parametrize("argv", [["constants"], sweep_argv(3000, "csv")],
+                         ids=["constants", "sweep"])
+def test_a_failed_write_exits_1_with_one_error_line(argv, redirect):
+    # stdout closed, so Python sets sys.stdout to None, or a device that
+    # refuses every write; the sweep renders its three chunks on two
+    # processes where two CPUs are free
+    if redirect == "> /dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    command = shlex.join([sys.executable, "-c", ENTRY_POINT, *argv])
+    proc = subprocess.Popen(["sh", "-c", f"exec {command} {redirect}"],
+                            stderr=subprocess.PIPE, text=True, env=package_env(),
+                            start_new_session=True)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err.startswith("error: cannot write the output: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    with pytest.raises(ProcessLookupError):  # no process of its group is left
+        os.killpg(proc.pid, 0)
 
 
 def test_a_bad_mass_is_refused_in_the_same_words_everywhere(capsys):

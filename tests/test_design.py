@@ -289,9 +289,10 @@ def test_the_sweep_gate_runs_once_per_regime_change_not_per_row(monkeypatch):
     steps = math.ceil(math.log2(count))
     assert 1 <= len(calls) <= 4 * (steps + 2)
     assert len(points) <= len(calls) + steps + 4
-    regimes = [regime.value for _, _, regime in plan]
-    assert [a for a, b in zip(regimes, regimes[1:] + [None]) if a != b] == [
-        "error", "warn", "ok", "warn", "error"]
+    # one stretch per run of a regime on each side of 0, which splits the ok run
+    ok, warn, error = RegimeStatus.OK, RegimeStatus.WARN, RegimeStatus.ERROR
+    assert plan == [(0, 333334, error), (333334, 483333, warn), (483333, 500000, ok),
+                    (500000, 516667, ok), (516667, 666666, warn), (666666, count, error)]
     monkeypatch.setattr(design, "_grid", grid)
     # through the CLI, which writes 98 chunks from one process or two: the
     # plan is made once, before any second process starts

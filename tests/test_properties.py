@@ -1,8 +1,8 @@
 """Property tests of the CLI's float formatting and JSON serializer, of
-the sweep grid, of the sweep rows against a row-by-row reference, of the
-entanglement report and the solvers over drawn SI and natural inputs, and
-of the CLI's exit-code contract over argv drawn from its subcommand table,
-and of the CLI's argv fast path against argparse."""
+the sweep grid, of the sweep plan and rows against a row-by-row
+reference, of the entanglement report and the solvers over drawn SI and
+natural inputs, and of the CLI's exit-code contract over argv drawn from
+its subcommand table, and of the CLI's argv fast path against argparse."""
 
 import contextlib
 import io
@@ -11,6 +11,7 @@ import math
 import string
 import struct
 import sys
+from itertools import groupby
 
 import mpmath
 import numpy as np
@@ -206,6 +207,22 @@ def test_sweep_rows_take_their_regime_from_the_config_gate(spec):
         except ValueError:
             expected = RegimeStatus.ERROR
         assert row.regime is expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(BOTH_UNITS | regime_crossing_sweeps(NATURAL) | regime_crossing_sweeps(SI))
+@example(R2_OVERFLOW)
+def test_the_plan_is_one_stretch_per_run_of_a_verdict_on_each_side_of_0(spec):
+    try:
+        rows = reference_sweep_rows(spec)
+    except ValueError:  # refused: the pre-check's own test covers it
+        return
+    runs, i = [], 0
+    for (_, regime), run in groupby(rows, key=lambda row: (row[0] > 0, row[4])):
+        j = i + len(list(run))
+        runs.append((i, j, regime))
+        i = j
+    assert _sweep_plan(spec) == runs
 
 
 def base(m=1.0, r1=1.0, r2=1.5, omega1=0.01, omega2=0.02, units=NATURAL):

@@ -4,10 +4,11 @@ Output is JSON (CSV for sweeps) with floats printed to 17 significant
 digits so values survive a parse round-trip bit-exactly. Each payload is
 built from the result named tuples, whose fields give its keys; a sweep
 streams its rows, and a refused sweep writes nothing. Exit codes: 0
-success, 1 domain error (diagnostic on stderr) or a reader that closed the
-pipe early, 2 argument error, 130 Ctrl-C.
+success, 1 domain error or failed write of output or help (one line on
+stderr) or a reader that closed the pipe early, 2 argument error, 130 Ctrl-C.
 """
 
+import io
 import math
 import os
 import sys
@@ -187,47 +188,45 @@ def cmd_solve(args) -> str:
     )
 
 
+# --format: header, row template (a %s per number, then the regime), separator, tail
+_SWEEP_FORMATS = {
+    "json": ("[", '  {\n    "value": %s,\n    "delta": %s,\n    "concurrence": %s,\n'
+                  '    "entropy_bits": %s,\n    "regime": "%s"\n  }', ",\n", "\n]"),
+    "csv": ("value,delta,concurrence,entropy_bits,regime", "%s,%s,%s,%s,%s", "\n", ""),
+}
+
+
 # Stretches from _sweep_rows: a SweepRow per row would cost about 13% of
 # sweep_csv throughput. Each number is finite, so x % 1.0 is 0.0 just for an
 # integral x, which format_float ends in .0; a stretch with none takes one %.
-def _csv_rows(stretches) -> str:
-    lines = []
+def _render_rows(stretches, template: str, sep: str) -> str:
+    rows = []
     for flat, regime in stretches:
-        row = "%.17g,%.17g,%.17g,%.17g," + regime._value_
+        row = template % ("%.17g", "%.17g", "%.17g", "%.17g", regime._value_)
         if all(map((1.0).__rmod__, flat)):
-            lines.append("\n".join([row] * (len(flat) // 4)) % tuple(flat))
+            rows.append(sep.join([row] * (len(flat) // 4)) % tuple(flat))
         else:  # row by row
-            lines += (row % numbers if all(map((1.0).__rmod__, numbers))
-                      else ",".join([*map(format_float, numbers), regime._value_])
-                      for numbers in zip(*[iter(flat)] * 4))
-    return "\n".join(lines)
-
-
-def _json_rows(stretches) -> str:  # rows of to_json(sweep(spec))
-    from .design import _stretch_rows
-
-    return ",\n".join("  " + to_json(row, 1) for row in _stretch_rows(stretches))
+            rows += (row % numbers if all(map((1.0).__rmod__, numbers))
+                     else template % (*map(format_float, numbers), regime._value_)
+                     for numbers in zip(*[iter(flat)] * 4))
+    return sep.join(rows)
 
 
 def cmd_sweep(args) -> str:
-    from .design import SweepRow, SweepSpec, _sweep_plan, _sweep_rows
+    from .design import SweepSpec, _sweep_plan, _sweep_rows
 
     spec = SweepSpec(args.vary, args.start, args.stop, args.count, _config(args))
     # every refusal and gate call, before the header, so a refused sweep
     # writes nothing, and before a second process starts
     plan = _sweep_plan(spec)
-    if args.format == "json":  # to_json(sweep(spec)), a chunk at a time
-        head, render, sep, tail = "[", _json_rows, ",\n", "\n]"
-    else:
-        head, render, sep, tail = ",".join(SweepRow._fields), _csv_rows, "\n", ""
-    out = sys.stdout  # looked up per call, so a redirected stdout is used
-    out.write(head)
+    head, template, sep, tail = _SWEEP_FORMATS[args.format]
+    sys.stdout.write(head)
     from .chunks import write_chunks  # after the header: the first byte waits for no load
 
     def text(i: int, j: int) -> str:  # rows i to j - 1
-        return render(_sweep_rows(spec, plan, i, j))
+        return _render_rows(_sweep_rows(spec, plan, i, j), template, sep)
 
-    write_chunks(out, text, spec.count, sep)
+    write_chunks(sys.stdout, text, spec.count, sep)
     return tail  # the rest, for main to print
 
 
@@ -287,7 +286,7 @@ _SUBCOMMANDS = {
         {
             "--vary": {"choices": ("omega2", "r2", "mass"), "required": True},
             "--start": _NUMBER, "--stop": _NUMBER, "--count": _INTEGER,
-            "--format": {"choices": ["json", "csv"], "default": "json"},
+            "--format": {"choices": list(_SWEEP_FORMATS), "default": "json"},
             **_CONFIG,
         },
     ),
@@ -378,6 +377,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse(argv)
     if args is None:  # so every usage text, message and exit code is argparse's
+        stdout, sys.stdout = sys.stdout, io.StringIO()  # argparse drops a failed help write
         try:
             args = build_parser().parse_args(argv)
             # argparse on Python 3.10 and 3.11 strips "--" from --flag=-- and
@@ -386,7 +386,12 @@ def main(argv=None) -> int:
                 if value == []:
                     build_parser().parse_args([args.command, f"--{name}"])
         except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
-            return int(exc.code or 0)
+            if exc.code:
+                return exc.code
+            text = sys.stdout.getvalue().removesuffix("\n")  # print adds it back
+            args = SimpleNamespace(command="--help", run=lambda _: text)
+        finally:
+            sys.stdout = stdout
     message = _validate(args)
     if message is not None:
         print(f"usage error: {message}", file=sys.stderr)

@@ -263,19 +263,13 @@ def _sweep_rows(spec: SweepSpec, plan: list, begin: int, end: int):
             yield flat, regime
 
 
-def _stretch_rows(stretches):
-    """The SweepRows of _sweep_rows's (flat, regime) pairs, in order."""
-    # zip takes four numbers at a time from the one iterator over flat
-    return chain.from_iterable(
-        map(tuple.__new__, repeat(SweepRow), zip(*[iter(flat)] * 4, repeat(regime)))
-        for flat, regime in stretches
-    )
-
-
 def sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate `count` evenly spaced points, endpoints included, ascending.
 
     Points that no longer form a valid configuration are kept, marked ERROR;
     a row whose delta is not finite refuses the sweep.
     """
-    return list(_stretch_rows(_sweep_rows(spec, _sweep_plan(spec), 0, spec.count)))
+    # zip takes four numbers at a time from the one iterator over flat
+    return list(chain.from_iterable(
+        map(tuple.__new__, repeat(SweepRow), zip(*[iter(flat)] * 4, repeat(regime)))
+        for flat, regime in _sweep_rows(spec, _sweep_plan(spec), 0, spec.count)))

@@ -273,6 +273,7 @@ def test_the_package_namespace_is_its_public_names():
 def test_the_cli_literals_match_their_sources():
     assert cli._CONFIG_NAMES == InterferometerConfig._fields[:5]
     assert cli._SUBCOMMANDS["sweep"][1]["--vary"]["choices"] == design.VARY_CHOICES
+    assert cli._SWEEP_FORMATS["csv"][0] == ",".join(design.SweepRow._fields)
 
 
 def test_json_outputs_reparse_to_the_same_text(capsys):
@@ -833,9 +834,16 @@ def test_a_reader_that_is_gone_before_a_short_output_gets_no_traceback():
 
 
 @pytest.mark.parametrize("redirect", [">&-", "> /dev/full"])
-@pytest.mark.parametrize("argv", [["constants"], sweep_argv(3000, "csv")],
-                         ids=["constants", "sweep"])
-def test_a_failed_write_exits_1_with_one_error_line(argv, redirect):
+@pytest.mark.parametrize("argv, env", [
+    (["constants"], {}),
+    (sweep_argv(3000, "csv"), {}),
+    # argparse writes help itself, and drops a failed write: unbuffered, at
+    # once, and buffered, at the flush on exit
+    *((argv, {"PYTHONUNBUFFERED": unbuffered})
+      for argv in (["--help"], ["sweep", "--help"]) for unbuffered in ("1", "")),
+], ids=["constants", "sweep", "help-unbuffered", "help-buffered",
+        "sweep-help-unbuffered", "sweep-help-buffered"])
+def test_a_failed_write_exits_1_with_one_error_line(argv, env, redirect):
     # stdout closed, so Python sets sys.stdout to None, or a device that
     # refuses every write; the sweep renders its three chunks on two
     # processes where two CPUs are free
@@ -843,14 +851,31 @@ def test_a_failed_write_exits_1_with_one_error_line(argv, redirect):
         pytest.skip("no /dev/full")
     command = shlex.join([sys.executable, "-c", ENTRY_POINT, *argv])
     proc = subprocess.Popen(["sh", "-c", f"exec {command} {redirect}"],
-                            stderr=subprocess.PIPE, text=True, env=package_env(),
-                            start_new_session=True)
+                            stderr=subprocess.PIPE, text=True,
+                            env={**package_env(), **env}, start_new_session=True)
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert err.startswith("error: cannot write the output: ") and err.count("\n") == 1
     assert "Traceback" not in err
     with pytest.raises(ProcessLookupError):  # no process of its group is left
         os.killpg(proc.pid, 0)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_is_written_as_argparse_prints_it(capsys, argv):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    printed = capsys.readouterr().out
+    assert printed.startswith("usage: qsagnac")
+    assert run(capsys, *argv) == (0, printed, "")
+
+
+def test_an_argument_error_with_stdout_closed_still_exits_2():
+    command = shlex.join([sys.executable, "-c", ENTRY_POINT, "entangle", "--m", "heavy"])
+    done = subprocess.run(["sh", "-c", f"exec {command} >&-"], capture_output=True,
+                          text=True, env=package_env())
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage:") and "Traceback" not in done.stderr
 
 
 def test_a_bad_mass_is_refused_in_the_same_words_everywhere(capsys):

@@ -245,43 +245,59 @@ R2_OVERFLOW_ABOVE_ZERO = SweepSpec(
     "r2", -1.25e100, 0.7e100, 4, base(4.29e207, 1e100, 1e100, 0.5e-100, -0.5e-100))
 
 
-@settings(max_examples=60, deadline=None)
-@given(BOTH_UNITS)
-@example(R2_OVERFLOW)
-# integral values (the .0 suffix), m <= 0 error rows, and delta 0.0 and -0.0
-@example(SweepSpec("mass", -2.0, 6.0, 9, base(r2=1.0)))
-@example(SweepSpec("omega2", -3.0, 3.0, 7, base(r1=0.1, r2=0.2)))  # warn rows
-@example(SweepSpec("omega2", 0.0, 0.02, 3, base()))  # omega2 = omega1: delta 0
-@example(SweepSpec("r2", 0.0, 2.0, 5, base()))  # r2 = r1: delta 0
-@example(SweepSpec("mass", -1.0, 0.0, 2, base()))  # m < 0 and m = 0
-@example(SweepSpec("r2", 0.5, 0.5, 1, base()))  # one-point sweeps
-@example(SweepSpec("omega2", -0.0, -0.0, 1, base()))
-@example(SweepSpec("omega2", 999.0, 1001.0, 5,
-                   base(1e-20, 0.01, 0.011, 1e3, 999.0, SI)))
-# refused at interior rows only, so the ends alone cannot settle it
-@example(r2_overflow_at_zero_only(3))
-@example(r2_overflow_at_zero_only(4))
-@example(R2_OVERFLOW_ABOVE_ZERO)
-# rows that the CSV template leaves to format_float: integral values up to
-# and past 2^53, 1e16 and 1e17, signed zeros (a value of -0.0, and deltas of
-# -0.0 at values that are not integers), and concurrence and entropy of
-# exactly 1.0 at a solver's answer
-@example(SweepSpec("mass", -2.0**53, 2.0**53, 5, base()))
-@example(SweepSpec("mass", 1e16, 1e17, 10, base()))
-@example(SweepSpec("omega2", -0.02, -0.0, 3, base()))
-@example(SweepSpec("mass", 0.5, 1.5, 3, base(omega2=0.01)))
-@example(SweepSpec("omega2", SOLVED, SOLVED, 1, SOLVE_BASE))
-# three chunks, the first two each with one integral mass (1.0 at row 512,
-# 2.0 at row 1536) among rows that are not integral
-@example(SweepSpec("mass", 0.5, 2.5, 2049, base()))
-def test_sweep_rows_equal_the_per_row_reference_bit_for_bit(spec):
+# Sweeps that the row renderer must get right in both formats
+HARD_SWEEPS = [
+    R2_OVERFLOW,
+    # integral values (the .0 suffix), m <= 0 error rows, and delta 0.0 and -0.0
+    SweepSpec("mass", -2.0, 6.0, 9, base(r2=1.0)),
+    SweepSpec("omega2", -3.0, 3.0, 7, base(r1=0.1, r2=0.2)),  # warn rows
+    SweepSpec("omega2", 0.0, 0.02, 3, base()),  # omega2 = omega1: delta 0
+    SweepSpec("r2", 0.0, 2.0, 5, base()),  # r2 = r1: delta 0
+    SweepSpec("mass", -1.0, 0.0, 2, base()),  # m < 0 and m = 0
+    SweepSpec("r2", 0.5, 0.5, 1, base()),  # one-point sweeps
+    SweepSpec("omega2", -0.0, -0.0, 1, base()),
+    SweepSpec("omega2", 999.0, 1001.0, 5, base(1e-20, 0.01, 0.011, 1e3, 999.0, SI)),
+    # the sweep_mass.json golden's invocation
+    SweepSpec("mass", -500.0, 1500.0, 5, base(1000.0, 1.0, 1.41421356237, 0.01, 0.0105)),
+    # refused at interior rows only, so the ends alone cannot settle it
+    r2_overflow_at_zero_only(3),
+    r2_overflow_at_zero_only(4),
+    R2_OVERFLOW_ABOVE_ZERO,
+    # rows that the %.17g template leaves to format_float: integral values up
+    # to and past 2^53, 1e16 and 1e17, signed zeros (a value of -0.0, and
+    # deltas of -0.0 at values that are not integers), and concurrence and
+    # entropy of exactly 1.0 at a solver's answer
+    SweepSpec("mass", -2.0**53, 2.0**53, 5, base()),
+    SweepSpec("mass", 1e16, 1e17, 10, base()),
+    SweepSpec("omega2", -0.02, -0.0, 3, base()),
+    SweepSpec("mass", 0.5, 1.5, 3, base(omega2=0.01)),
+    SweepSpec("omega2", SOLVED, SOLVED, 1, SOLVE_BASE),
+    # three chunks, the first two each with one integral mass (1.0 at row 512,
+    # 2.0 at row 1536) among rows that are not integral
+    SweepSpec("mass", 0.5, 2.5, 2049, base()),
+]
+FORMATS = ("csv", "json")
+
+
+def with_hard_sweeps(test):
+    """test, given each of HARD_SWEEPS in each format as an @example."""
+    for spec in HARD_SWEEPS:
+        for fmt in FORMATS:
+            test = example(spec, fmt)(test)
+    return test
+
+
+@settings(max_examples=120, deadline=None)  # about 60 draws a format
+@given(BOTH_UNITS, st.sampled_from(FORMATS))
+@with_hard_sweeps
+def test_sweep_rows_equal_the_per_row_reference_bit_for_bit(spec, fmt):
     try:
         expected = reference_sweep_rows(spec)
     except ValueError:
         expected = None
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(spec_argv(spec))
+        code = main(spec_argv(spec, fmt))
     if expected is None:  # a row whose delta is not finite refuses the sweep
         with pytest.raises(ValueError, match="not finite"):
             sweep(spec)
@@ -292,10 +308,13 @@ def test_sweep_rows_equal_the_per_row_reference_bit_for_bit(spec):
     for row, want in zip(rows, expected):
         assert [bits(x) for x in row[:4]] == [bits(x) for x in want[:4]]
         assert row.regime is want[4]
-    lines = ["value,delta,concurrence,entropy_bits,regime"] + [
-        ",".join([*map(format_float, want[:4]), want[4].value]) for want in expected
-    ]
-    assert (code, out.getvalue(), err.getvalue()) == (0, "\n".join(lines) + "\n", "")
+    if fmt == "json":
+        text = to_json(rows) + "\n"
+    else:
+        text = "\n".join(["value,delta,concurrence,entropy_bits,regime"] + [
+            ",".join([*map(format_float, want[:4]), want[4].value]) for want in expected
+        ]) + "\n"
+    assert (code, out.getvalue(), err.getvalue()) == (0, text, "")
 
 
 @st.composite
@@ -334,26 +353,6 @@ def test_the_pre_check_refuses_exactly_the_sweeps_the_kernel_refuses(spec):
         assert str(refused.value) == str(exc)
     else:
         _sweep_plan(spec)
-
-
-SWEEP_MASS = SweepSpec(  # the sweep_mass.json golden's invocation
-    "mass", -500.0, 1500.0, 5, base(1000.0, 1.0, 1.41421356237, 0.01, 0.0105))
-
-
-@settings(max_examples=60, deadline=None)
-@given(BOTH_UNITS)
-@example(SWEEP_MASS)
-@example(r2_overflow_at_zero_only(4))
-def test_the_streamed_json_sweep_is_to_json_of_the_rows(spec):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(spec_argv(spec, "json"))
-    try:
-        expected = to_json(sweep(spec)) + "\n"
-    except ValueError:  # a refused sweep writes nothing
-        assert (code, out.getvalue()) == (1, "")
-        return
-    assert (code, out.getvalue(), err.getvalue()) == (0, expected, "")
 
 
 # decades of m, of the radii and of the frequencies over which delta runs

@@ -244,6 +244,9 @@ SOLVED = solve_omega2(*SOLVE_BASE[:4], 0, SOLVE_BASE.constants)
 R2_OVERFLOW_ABOVE_ZERO = SweepSpec(
     "r2", -1.25e100, 0.7e100, 4, base(4.29e207, 1e100, 1e100, 0.5e-100, -0.5e-100))
 
+SWEEP_MASS = SweepSpec(  # the sweep_mass.json golden's invocation
+    "mass", -500.0, 1500.0, 5, base(1000.0, 1.0, 1.41421356237, 0.01, 0.0105))
+
 
 # Sweeps that the row renderer must get right in both formats
 HARD_SWEEPS = [
@@ -257,8 +260,7 @@ HARD_SWEEPS = [
     SweepSpec("r2", 0.5, 0.5, 1, base()),  # one-point sweeps
     SweepSpec("omega2", -0.0, -0.0, 1, base()),
     SweepSpec("omega2", 999.0, 1001.0, 5, base(1e-20, 0.01, 0.011, 1e3, 999.0, SI)),
-    # the sweep_mass.json golden's invocation
-    SweepSpec("mass", -500.0, 1500.0, 5, base(1000.0, 1.0, 1.41421356237, 0.01, 0.0105)),
+    SWEEP_MASS,
     # refused at interior rows only, so the ends alone cannot settle it
     r2_overflow_at_zero_only(3),
     r2_overflow_at_zero_only(4),
@@ -315,6 +317,25 @@ def test_sweep_rows_equal_the_per_row_reference_bit_for_bit(spec, fmt):
             ",".join([*map(format_float, want[:4]), want[4].value]) for want in expected
         ]) + "\n"
     assert (code, out.getvalue(), err.getvalue()) == (0, text, "")
+
+
+@settings(max_examples=60, deadline=None)
+@given(BOTH_UNITS)
+@example(SWEEP_MASS)
+@example(r2_overflow_at_zero_only(4))
+def test_the_streamed_json_sweep_is_to_json_of_the_rows(spec):
+    # with no --format, a sweep is JSON
+    argv = spec_argv(spec, "json")
+    del argv[argv.index("--format"):argv.index("--format") + 2]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    try:
+        expected = to_json(sweep(spec)) + "\n"
+    except ValueError:  # a refused sweep writes nothing
+        assert (code, out.getvalue()) == (1, "")
+        return
+    assert (code, out.getvalue(), err.getvalue()) == (0, expected, "")
 
 
 @st.composite

@@ -20,7 +20,7 @@ from .constants import (
     require_valid_config,
 )
 from .phase import entangling_phase_value
-from .state import MAXIMAL_TOL, InterferometerConfig, concurrence_from_delta
+from .state import MAXIMAL_TOL, InterferometerConfig, _entropies, concurrence_from_delta
 
 # each --vary name and the position of its number in (m, r1, r2, omega1, omega2)
 _VARY_POSITIONS = {"omega2": 4, "r2": 2, "mass": 0}
@@ -234,32 +234,25 @@ def _sweep_rows(spec: SweepSpec, plan: list, begin: int, end: int):
     builds the swept values of these rows only, makes no gate call, and
     takes every delta as finite, as the plan makes sure.
 
-    delta, concurrence and entropy repeat the operations of
-    entangling_phase_value, concurrence_from_delta and
-    entropy_from_concurrence one for one, so every bit matches them (a
-    property test pins the two together). Only the entropy's clamp of
-    1 - c^2 at 0 is left out, since |sin| <= 1 keeps it idle. Calling the
-    three per row costs 4-6% of perfbench's sweep_csv throughput.
+    delta and concurrence repeat the operations of entangling_phase_value
+    and concurrence_from_delta one for one, so every bit matches them (a
+    property test pins the two together); a call per row would cost about
+    2% of a CSV sweep. The entropies come from state, one call per stretch.
     """
     start, stop, count = spec.start, spec.stop, spec.count
     numbers = list(spec.base[:5])  # m, r1, r2, omega1, omega2
     position = _VARY_POSITIONS[spec.varying]
     hbar, pi = spec.base.constants.hbar, math.pi
-    sin, sqrt, log2 = math.sin, math.sqrt, math.log2
+    sin = math.sin
     for i, j, regime in plan:
         flat = []
         for value in _grid(start, stop, count, max(i, begin), min(j, end)):
             numbers[position] = value
             m, r1, r2, omega1, omega2 = numbers
             delta = 2.0 * m * (omega1 - omega2) * pi * ((r1 - r2) * (r1 + r2)) / hbar
-            conc = abs(sin(0.5 * delta))
-            gap = sqrt(1.0 - conc * conc)
-            hi, lo = 0.5 * (1.0 + gap), 0.5 * (1.0 - gap)
-            entropy = 0.0 - hi * log2(hi)  # hi >= 0.5; 0.0 - x turns -0.0 into 0.0
-            if lo > 0.0:
-                entropy -= lo * log2(lo)
-            flat += value, delta, conc, entropy
+            flat += value, delta, abs(sin(0.5 * delta)), 0.0
         if flat:
+            flat[3::4] = _entropies(flat[2::4])
             yield flat, regime
 
 

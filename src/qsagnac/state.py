@@ -126,14 +126,25 @@ def concurrence_from_delta(delta: float) -> float:
     return abs(math.sin(0.5 * delta))
 
 
+def _entropies(concurrences) -> list:
+    """Entropy in bits of a pure two-qubit state for each concurrence in
+    [0, 1], in turn. The sweep kernel calls it once per stretch, so this is
+    the one home of the formula."""
+    sqrt, log2 = math.sqrt, math.log2
+    entropies = []
+    for c in concurrences:
+        gap = sqrt(1.0 - c * c)
+        hi, lo = 0.5 * (1.0 + gap), 0.5 * (1.0 - gap)
+        s = 0.0 - hi * log2(hi)  # hi >= 0.5; 0.0 - x turns -0.0 into 0.0
+        if lo > 0.0:
+            s -= lo * log2(lo)
+        entropies.append(s)
+    return entropies
+
+
 def entropy_from_concurrence(c: float) -> float:
     """Entropy in bits of a pure two-qubit state with concurrence c."""
-    gap = math.sqrt(max(0.0, 1.0 - c * c))
-    hi, lo = 0.5 * (1.0 + gap), 0.5 * (1.0 - gap)
-    s = 0.0 - hi * math.log2(hi)  # hi >= 0.5; 0.0 - x turns -0.0 into 0.0
-    if lo > 0.0:
-        s -= lo * math.log2(lo)
-    return s
+    return _entropies((c,))[0]
 
 
 def report_from_parameters(

@@ -31,6 +31,7 @@ from .phase import entangling_phase_value, loop_phase
 
 NORM_TOL = 1e-12
 MAXIMAL_TOL = 1e-9  # tolerance on |concurrence - 1|
+_LN2 = math.log(2.0)
 
 
 def _require_resolved_phase(x: float) -> None:
@@ -130,12 +131,13 @@ def _entropies(concurrences) -> list:
     """Entropy in bits of a pure two-qubit state for each concurrence in
     [0, 1], in turn. The sweep kernel calls it once per stretch, so this is
     the one home of the formula."""
-    sqrt, log2 = math.sqrt, math.log2
+    sqrt, log1p, log2 = math.sqrt, math.log1p, math.log2
     entropies = []
     for c in concurrences:
-        gap = sqrt(1.0 - c * c)
-        hi, lo = 0.5 * (1.0 + gap), 0.5 * (1.0 - gap)
-        s = 0.0 - hi * log2(hi)  # hi >= 0.5; 0.0 - x turns -0.0 into 0.0
+        # the smaller eigenvalue (1 - sqrt(1 - c^2)) / 2, with the
+        # subtraction that cancels for small c multiplied out
+        lo = c * c / (2.0 + 2.0 * sqrt(1.0 - c * c))
+        s = (lo - 1.0) * log1p(-lo) / _LN2  # -hi log2(hi), hi = 1 - lo
         if lo > 0.0:
             s -= lo * log2(lo)
         entropies.append(s)

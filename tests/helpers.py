@@ -1,10 +1,12 @@
 """Helpers shared by the test modules: a random-configuration generator,
 an SVD/determinant oracle that shares no code with the package's closed
-forms (it works on the amplitudes of a PureState2x2), and a row-by-row
+forms (it works on the amplitudes of a PureState2x2), mpmath oracles for
+the concurrence and the entropy with an ulp distance, and a row-by-row
 reference for sweeps."""
 
 import math
 
+import mpmath
 import numpy as np
 
 from qsagnac import (
@@ -56,6 +58,30 @@ def entanglement_entropy(state):
         if lam > 0.0:
             entropy -= lam * math.log2(lam)
     return entropy
+
+
+def exact_concurrence(delta: float):
+    """|sin(delta/2)| in mpmath, with delta taken as exact."""
+    with mpmath.workprec(128):
+        return abs(mpmath.sin(mpmath.mpf(delta) / 2))
+
+
+def exact_entropy_bits(c: float):
+    """Entropy in bits of a pure two-qubit state with concurrence c, in
+    mpmath from its definition, -sum lam log2(lam) over the eigenvalues
+    (1 +- sqrt(1 - c^2)) / 2, with c taken as exact. The precision grows
+    with c's binary exponent, so (1 - sqrt(1 - c^2)) / 2, about c^2 / 4,
+    keeps about 128 bits of its own."""
+    with mpmath.workprec(128 - 2 * math.frexp(c)[1]):
+        gap = mpmath.sqrt(1 - mpmath.mpf(c) ** 2)
+        return -sum(lam * mpmath.log(lam, 2) for lam in ((1 + gap) / 2, (1 - gap) / 2)
+                    if lam > 0)
+
+
+def ulps(got: float, exact) -> float:
+    """|got - exact| in units in the last place of the double nearest exact."""
+    with mpmath.workprec(128):
+        return float(abs(mpmath.mpf(got) - exact)) / math.ulp(float(exact))
 
 
 # the five numbers of a config, each under its --vary name where it has one

@@ -108,8 +108,6 @@ def assemble_full_state(cfg: InterferometerConfig) -> PureState2x2:
 
     Raises ValueError when a branch phase is past double resolution.
     """
-    import cmath  # here, so only a state call loads the extension
-
     _require_loops(cfg)
     consts = cfg.constants
     phases = [
@@ -117,8 +115,12 @@ def assemble_full_state(cfg: InterferometerConfig) -> PureState2x2:
         for r in (cfg.r1, cfg.r2)
     ]
     _require_resolved_phase(max(abs(p) for row in phases for p in row))
+    # the bits of 0.5 * cmath.exp(1j * p), signed zeros included, with no
+    # extension module to load
     return PureState2x2(
-        amplitudes=tuple(tuple(0.5 * cmath.exp(1j * p) for p in row) for row in phases)
+        amplitudes=tuple(
+            tuple(0.5 * complex(math.cos(p), math.sin(p)) for p in row) for row in phases
+        )
     )
 
 
@@ -145,7 +147,12 @@ def _entropies(concurrences) -> list:
 
 
 def entropy_from_concurrence(c: float) -> float:
-    """Entropy in bits of a pure two-qubit state with concurrence c."""
+    """Entropy in bits of a pure two-qubit state with concurrence c.
+
+    Raises ValueError unless c lies in [0, 1].
+    """
+    if not 0.0 <= c <= 1.0:  # also refuses nan
+        raise ValueError(f"concurrence must lie in [0, 1], not {c!r}")
     return _entropies((c,))[0]
 
 

@@ -247,17 +247,18 @@ def test_each_gate_builds_on_the_one_before(monkeypatch, units, m, r, omega):
     assert seen == [1, 2, 3]
 
 
-# One fast-path entangle call in a fresh interpreter without site (-S), since a
-# site may preload modules and hide an import; prints the modules the call
-# added to those loaded at start.
+# One fast-path entangle call and one state call in a fresh interpreter without
+# site (-S), since a site may preload modules and hide an import; prints the
+# modules the calls added to those loaded at start.
 FAST_PATH_PROBE = """
 import io, sys
 before = set(sys.modules)
 sys.stdout = io.StringIO()
 from qsagnac.cli import main
-code = main(["entangle", "--m", "1000", "--r1", "1", "--r2", "1.41421356237",
-             "--omega1", "0.01", "--omega2", "0.0105", "--units", "natural"])
-assert code == 0 and '"concurrence"' in sys.stdout.getvalue()
+config = ["--m", "1000", "--r1", "1", "--r2", "1.41421356237",
+          "--omega1", "0.01", "--omega2", "0.0105", "--units", "natural"]
+assert main(["entangle", *config]) == main(["state", *config]) == 0
+assert '"concurrence"' in sys.stdout.getvalue() and '"amplitudes"' in sys.stdout.getvalue()
 sys.__stdout__.write(" ".join(sorted(set(sys.modules) - before)))
 """
 

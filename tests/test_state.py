@@ -56,8 +56,8 @@ def test_full_state_of_worked_config():
 
 
 def test_amplitudes_match_numpy_exp_bitwise():
-    # the state subcommand prints these bits, so cmath.exp must give what
-    # 0.5 * np.exp(1j * phases) gives, signed zeros included
+    # the state subcommand prints these bits, so 0.5 * complex(cos, sin) must
+    # give what 0.5 * np.exp(1j * phases) gives, signed zeros included
     rng = np.random.default_rng(67)
     configs = [random_config(rng) for _ in range(300)]
     configs += [  # r1 = 0 gives zero phases, -0.0 at negative frequencies
@@ -184,6 +184,18 @@ def test_entropy_examples():
     # eigenvalue oracle (1 +- cos(pi/8))/2 -> 0.23332662865093506 bits
     state = state_with_delta(-26.25 * math.pi)
     assert math.isclose(entanglement_entropy(state), 0.23332662865093506, abs_tol=1e-9)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -0.1, 1.5])
+def test_entropy_refuses_a_value_that_is_not_a_concurrence(c):
+    with pytest.raises(ValueError, match="concurrence must lie in"):
+        entropy_from_concurrence(c)
+
+
+def test_entropy_at_the_ends_of_the_concurrence_range():
+    assert entropy_from_concurrence(0.0) == 0.0
+    assert math.copysign(1.0, entropy_from_concurrence(-0.0)) == 1.0  # +0.0
+    assert entropy_from_concurrence(1.0) == 1.0
 
 
 def test_report_maximal_flag():

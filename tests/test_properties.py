@@ -32,6 +32,7 @@ from qsagnac import (
     constants_for,
     entangling_phase_value,
     entropy_from_concurrence,
+    loop_phase,
     report_from_parameters,
     solve_omega2,
     solve_r2,
@@ -411,6 +412,74 @@ def test_every_report_is_a_pure_two_qubit_state_or_refused(args):
     assert 0.0 <= report.entropy_bits <= 1.0
     assert report.maximal == (abs(c - 1.0) <= MAXIMAL_TOL)
     assert abs(report.delta) * 2.0**-50 <= MAXIMAL_TOL  # delta fixes itself mod 2 pi
+
+
+# Sign relations, over every finite double: IEEE negation and subtraction
+# are exactly antisymmetric and products round symmetrically, so they need
+# no oracle. Compared with ==, since a zero factor keeps the sign of zero
+# from flipping; inf * 0 gives nan for both sides.
+CONSTS = st.sampled_from(list(UnitSystem)).map(constants_for)
+
+
+def negated(a, b):
+    return a == -b or math.isnan(a) and math.isnan(b)
+
+
+@settings(max_examples=200)
+@given(FINITE, FINITE, FINITE, CONSTS)
+def test_loop_phase_is_odd_in_omega(m, omega, r, consts):
+    phi = loop_phase(m, omega, r, consts)
+    mirrored = loop_phase(m, -omega, r, consts)
+    assert bits(mirrored) == bits(-phi) or math.isnan(phi) and math.isnan(mirrored)
+
+
+@settings(max_examples=200)
+@given(FINITE, FINITE, FINITE, FINITE, FINITE, CONSTS)
+def test_swapping_the_radii_or_the_frequencies_negates_delta(m, r1, r2, omega1, omega2,
+                                                            consts):
+    delta = entangling_phase_value(m, r1, r2, omega1, omega2, consts)
+    assert negated(entangling_phase_value(m, r2, r1, omega1, omega2, consts), delta)
+    assert negated(entangling_phase_value(m, r1, r2, omega2, omega1, consts), delta)
+    both = entangling_phase_value(m, r2, r1, omega2, omega1, consts)
+    assert both == delta or math.isnan(both) and math.isnan(delta)
+
+
+@st.composite
+def whole_range_parameters(draw):
+    """(m, r1, r2, omega1, omega2, consts): m and |omega| from 1e-300 to
+    1e300 and the radii from 1e-150 to 1e150, SI or natural."""
+    masses = frequencies = magnitudes(-300, 299)
+    radii = magnitudes(-150, 149)
+    return (draw(masses), draw(radii), draw(radii), draw(SIGNS) * draw(frequencies),
+            draw(SIGNS) * draw(frequencies), draw(CONSTS))
+
+
+def report_or_none(args):
+    try:
+        return report_from_parameters(*args)
+    except ValueError:  # delta past double resolution
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(whole_range_parameters())
+@example(WORKED)
+def test_swapping_the_radii_or_the_frequencies_keeps_the_report(args):
+    m, r1, r2, omega1, omega2, consts = args
+    swaps = [(m, r2, r1, omega1, omega2, consts), (m, r1, r2, omega2, omega1, consts)]
+    try:
+        for numbers in (args, *swaps):
+            require_valid_config(*numbers)
+    except ValueError:  # a config the gate refuses
+        return
+    base = report_or_none(args)
+    for numbers in swaps:
+        report = report_or_none(numbers)
+        if base is None:
+            assert report is None
+        else:
+            # concurrence, Schmidt values, entropy and maximal
+            assert report.delta == -base.delta and report[1:] == base[1:]
 
 
 # c from 1e-150 to 1, log-uniform; below 1e-150 c^2 leaves the normal range

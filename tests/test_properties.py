@@ -416,8 +416,9 @@ def test_every_report_is_a_pure_two_qubit_state_or_refused(args):
 
 # Sign relations, over every finite double: IEEE negation and subtraction
 # are exactly antisymmetric and products round symmetrically, so they need
-# no oracle. Compared with ==, since a zero factor keeps the sign of zero
-# from flipping; inf * 0 gives nan for both sides.
+# no oracle. loop_phase is odd bit for bit; a swap is compared with ==,
+# since r1 == r2 gives a +0.0 gap either way round. An inf * 0 gives nan on
+# both sides.
 CONSTS = st.sampled_from(list(UnitSystem)).map(constants_for)
 
 

@@ -136,17 +136,33 @@ def test_phase_zero_rotation(capsys):
 
 def test_golden_outputs_are_bit_identical(capsys):
     for name, argv in GOLDEN_INVOCATIONS.items():
-        code, first, _ = run(capsys, *argv)
-        assert code == 0
-        code, second, _ = run(capsys, *argv)
-        assert code == 0
+        code, first, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), name
+        code, second, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), name
         assert first == second
         golden = (GOLDEN_DIR / name).read_text()
         assert first == golden
 
 
+def test_every_readme_example_runs_cleanly(capsys):
+    # the qsagnac lines of README's Command line block, backslash-continued
+    # lines joined
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    examples = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("qsagnac ")]
+    assert examples
+    for argv in examples:
+        code, _, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv
+
+
 def package_env() -> dict:
-    """The environment with this package's source first on PYTHONPATH."""
+    """The environment with the directory of the imported qsagnac first on
+    PYTHONPATH: src in a checkout, or site-packages for an installed copy, so
+    a child process runs the package these tests import."""
     src = str(Path(qsagnac.__file__).parents[1])
     path = [src, os.environ.get("PYTHONPATH")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
@@ -184,9 +200,9 @@ def test_no_golden_invocation_imports_numpy():
 
 
 def bare_python(code: str, *argv: str) -> str:
-    """stdout of code run by an interpreter with this package's source on its
-    path and no site (-S), since site may preload typing or re and hide an
-    import of it."""
+    """stdout of code run by an interpreter with the directory of the imported
+    qsagnac on its path and no site (-S), since site may preload typing or re
+    and hide an import of it."""
     src = str(Path(qsagnac.__file__).parents[1])
     return subprocess.run(
         [sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True,
@@ -515,13 +531,18 @@ def expected_sweep_output(spec, fmt):
 SWEEP_BASE = InterferometerConfig(
     1000.0, 1.0, 1.41421356237, 0.01, 0.0105, UnitSystem.NATURAL)
 
-# Counts on each side of the 1024-row chunk edges, and a sweep whose regime
+# Counts on each side of the 1024-row chunk edges, an r2 and a mass sweep
+# across 0, whose plans split the grid there, and last a sweep whose regime
 # changes four times (error, warn, ok, warn, error: rims at beta = 0.1 and 1
 # on both sides of 0), so that the stretch plan crosses chunk edges
 EDGE_SPECS = [
     SweepSpec("omega2", 0.009, 0.012, count, SWEEP_BASE)
     for count in (1, 1023, 1024, 1025, 2048, 2049, 3073)
-] + [SweepSpec("omega2", -3.0, 3.0, 3073, SWEEP_BASE._replace(r2=0.5))]
+] + [
+    SweepSpec("r2", -150.0, 150.0, 5000, SWEEP_BASE),
+    SweepSpec("mass", -1000.0, 3000.0, 5000, SWEEP_BASE),
+    SweepSpec("omega2", -3.0, 3.0, 3073, SWEEP_BASE._replace(r2=0.5)),
+]
 
 
 def forks_counted(monkeypatch, cpus):
@@ -586,13 +607,16 @@ def test_a_sweep_on_two_processes_raises_a_piped_stdout_to_1_mib():
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_GETPIPE_SZ") or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("needs fcntl.F_GETPIPE_SZ and two usable CPUs")
-    spec = SweepSpec("omega2", 0.009, 0.012, 5000, SWEEP_BASE)
+    # more bytes than the widened pipe holds, so the child runs a full pipe
+    # ahead of this process
+    spec = SweepSpec("omega2", 0.009, 0.012, 20_000, SWEEP_BASE)
     with subprocess.Popen(
             [sys.executable, "-c", ENTRY_POINT, *spec_argv(spec, "csv")],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=package_env()) as proc:
         out = proc.stdout.read()
         assert proc.wait(timeout=60) == 0
         assert fcntl.fcntl(proc.stdout, fcntl.F_GETPIPE_SZ) == 1 << 20
+    assert len(out) > chunks.PIPE_BYTES
     assert out.decode() == expected_sweep_output(spec, "csv")
 
 
@@ -955,6 +979,11 @@ def test_domain_errors_exit_1_with_clean_stdout(capsys):
         ["sweep", "--vary", "omega2", "--start", "0.009", "--stop", "0.012",
          "--count", "1000001", "--units", "natural", "--m", "1000", "--r1", "1",
          "--r2", "1.41421356237", "--omega1", "0.01", "--omega2", "0.0105"],
+        # a sweep of more than one chunk whose delta overflows only near
+        # r2 = 0, first at row 1167: refused before it writes anything
+        ["sweep", "--vary", "r2", "--start=-1e150", "--stop", "1e150",
+         "--count", "5001", "--units", "natural", "--m", "2e158", "--r1", "1e150",
+         "--r2", "1e150", "--omega1", "1e-151", "--omega2=-1e-151"],
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)

@@ -358,28 +358,6 @@ def test_local_phase_invariance():
             assert abs(a - b) <= 1e-12
 
 
-def test_swap_symmetry():
-    rng = np.random.default_rng(53)
-    for _ in range(100):
-        cfg = random_config(rng)
-        swapped_r = InterferometerConfig(
-            m=cfg.m, r1=cfg.r2, r2=cfg.r1, omega1=cfg.omega1, omega2=cfg.omega2,
-            units=cfg.units,
-        )
-        swapped_o = InterferometerConfig(
-            m=cfg.m, r1=cfg.r1, r2=cfg.r2, omega1=cfg.omega2, omega2=cfg.omega1,
-            units=cfg.units,
-        )
-        delta = entangling_phase_value(*cfg[:5], cfg.constants)
-        assert entangling_phase_value(*swapped_r[:5], swapped_r.constants) == -delta
-        assert entangling_phase_value(*swapped_o[:5], swapped_o.constants) == -delta
-        base = entanglement_report(cfg)
-        for other in (swapped_r, swapped_o):
-            report = entanglement_report(other)
-            assert abs(report.concurrence - base.concurrence) <= 1e-10
-            assert abs(report.entropy_bits - base.entropy_bits) <= 1e-10
-
-
 def test_frequency_shift_invariance():
     rng = np.random.default_rng(59)
     for _ in range(200):

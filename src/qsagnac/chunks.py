@@ -4,10 +4,11 @@ Where a second CPU is free, a forked child renders the odd chunks and sends
 them over a pipe, each as a frame: its byte length as 8 little-endian bytes,
 then the UTF-8 text. The first process renders the even chunks, and any odd
 chunk the child did not send, and writes every chunk itself, so the output
-is the same bytes either way. That pipe, and stdout where it is a pipe, are
-raised to PIPE_BYTES where the kernel allows it, so neither process waits
-on the other for each 64 KiB that a pipe holds by default. It is kept out of
-cli.py, which every subcommand imports, so that only a sweep loads it.
+is the same bytes either way. That pipe is raised to PIPE_BYTES where the
+kernel allows it, so neither process waits on the other for each 64 KiB
+that a pipe holds by default; stdout is left as its reader made it. It is
+kept out of cli.py, which every subcommand imports, so that only a sweep
+loads it.
 """
 
 import os
@@ -16,7 +17,7 @@ import sys
 # rows per chunk, each rendered and written as one unit (about 100 KB of CSV,
 # 200 KB of JSON): with PYTHONUNBUFFERED set, each write is a syscall
 CHUNK_ROWS = 1024
-# the capacity each pipe is raised to: Linux's default /proc/sys/fs/pipe-max-size
+# the capacity the chunk pipe is raised to: Linux's default /proc/sys/fs/pipe-max-size
 PIPE_BYTES = 1 << 20
 
 
@@ -32,19 +33,6 @@ def _fork_is_safe(chunks: int) -> bool:
         and len(os.sched_getaffinity(0)) > 1
         and (threading is None or threading.active_count() == 1)
     )
-
-
-def _widen(pipe) -> None:
-    """Raise pipe, a descriptor or a file, to PIPE_BYTES if it is a pipe.
-    It stays as it is past the user's pipe quota (EPERM), and where it is
-    no pipe (EBADF) or no file with a descriptor (TypeError, or the
-    OSError or ValueError that fileno() raises)."""
-    import fcntl  # not on Windows, where a sweep keeps one process
-
-    try:
-        fcntl.fcntl(pipe, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-    except (OSError, TypeError, ValueError):
-        pass
 
 
 def _send(pipe, text: str) -> None:
@@ -83,8 +71,12 @@ def write_chunks(out, render, count: int, sep: str) -> None:
     pid = pipe = None
     if _fork_is_safe(chunks):
         read, send = os.pipe()
-        _widen(read)
-        _widen(out)
+        import fcntl  # not on Windows, where a sweep keeps one process
+
+        try:
+            fcntl.fcntl(read, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+        except OSError:  # past the user's pipe quota: the default 64 KiB
+            pass
         parent = os.getpid()
         try:
             pid = os.fork()

@@ -6,9 +6,13 @@ built from the result named tuples, whose fields give its keys; a sweep
 streams its rows, and a refused sweep writes nothing. Exit codes: 0
 success, 1 domain error or failed write of output or help (one line on
 stderr) or a reader that closed the pipe early, 2 argument error, 130 Ctrl-C.
+
+One parser reads every argv from the subcommand table, _SUBCOMMANDS, and
+writes help and argument errors from it too. A flag may be cut to a prefix
+that no other flag of its subcommand has. Nothing is wrapped to a terminal
+width, so help and error texts are the same bytes on every supported Python.
 """
 
-import io
 import math
 import os
 import sys
@@ -71,22 +75,29 @@ def to_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        from argparse import ArgumentTypeError
+# Flag value converters: each raises ValueError in the words of its error line.
+def number(text: str) -> float:
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"not a finite number: {text!r}")
 
-        raise ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
+
+def integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
 
 
-def _pair(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        from argparse import ArgumentTypeError
-
-        raise ArgumentTypeError("expected two quantum numbers: N1,N2")
-    return (int(parts[0]), int(parts[1]))
+def pair(text: str) -> tuple[int, int]:
+    try:
+        n1, n2 = map(int, text.split(","))
+    except ValueError:
+        raise ValueError(f"not two integers N1,N2: {text!r}") from None
+    return (n1, n2)
 
 
 def cmd_constants(args) -> str:
@@ -132,13 +143,12 @@ def cmd_phase(args) -> str:
     return to_json(payload)
 
 
-def _config(args):
+def _config(args, **fixed):
+    """The gated config of args' five numbers, with fixed's in their place."""
     from .state import InterferometerConfig
 
-    return InterferometerConfig(
-        **{name: getattr(args, name) for name in _CONFIG_NAMES},
-        units=UnitSystem(args.units),
-    )
+    numbers = {name: getattr(args, name) for name in _CONFIG_NAMES}
+    return InterferometerConfig(**{**numbers, **fixed}, units=UnitSystem(args.units))
 
 
 def cmd_state(args) -> str:
@@ -215,7 +225,12 @@ def _render_rows(stretches, template: str, sep: str) -> str:
 def cmd_sweep(args) -> str:
     from .design import SweepSpec, _sweep_plan, _sweep_rows
 
-    spec = SweepSpec(args.vary, args.start, args.stop, args.count, _config(args))
+    # No row reads the base's varied value, so the base gets one that adds
+    # nothing to the gate, which reads it only in max(|omega1|, |omega2|),
+    # max(r1, r2) and m > 0; each row is gated in the plan.
+    field, neutral = {"omega2": ("omega2", 0.0), "r2": ("r2", 0.0), "mass": ("m", 1.0)}[args.vary]
+    base = _config(args, **{field: neutral})
+    spec = SweepSpec(args.vary, args.start, args.stop, args.count, base)
     # every refusal and gate call, before the header, so a refused sweep
     # writes nothing, and before a second process starts
     plan = _sweep_plan(spec)
@@ -250,14 +265,16 @@ def cmd_hydrogen(args) -> str:
 
 # Flag specs that subcommands share: a finite number, required or not, a
 # required integer, --units, and the config flags, which end with --units.
-_NUMBER = {"type": _finite, "required": True}
-_OPTIONAL = {"type": _finite}
-_INTEGER = {"type": int, "required": True}
+_NUMBER = {"type": number, "required": True}
+_OPTIONAL = {"type": number}
+_INTEGER = {"type": integer, "required": True}
 _UNITS = {"--units": {"choices": [u.value for u in UnitSystem], "default": "si"}}
 _CONFIG = {**{f"--{name}": _NUMBER for name in _CONFIG_NAMES}, **_UNITS}
 
-# Each subcommand's help line and its flags in usage order, with their
-# add_argument keywords. _parse and build_parser run <name> with cmd_<name>.
+# Each subcommand's help line and its flags in usage order, each with a
+# converter, whose name is its placeholder in help unless a metavar is
+# given, or choices, and required or a default. _parse runs <name> with
+# cmd_<name>.
 _SUBCOMMANDS = {
     "constants": ("print the pinned constant table", _UNITS),
     "metric": (
@@ -293,108 +310,139 @@ _SUBCOMMANDS = {
     # --n and --pair form one required, mutually exclusive group
     "hydrogen": (
         "Bohr-orbit phases and pair entanglement",
-        {"--n": {"type": int}, "--pair": {"type": _pair}},
+        {"--n": {"type": integer}, "--pair": {"type": pair, "metavar": "N1,N2"}},
     ),
 }
+_ABOUT = "Rotating-disk matter-wave interferometer simulator"
+_HELP = ("-h", "--help")
+
+
+class UsageError(Exception):
+    """An argument error, as the CLI prints it on stderr."""
 
 
 def build_parser():
-    """The argparse parser of _SUBCOMMANDS, for every argv that _parse declines."""
-    import argparse
-    import re
+    """The CLI's parser: parse_args(argv) is _parse(argv). A new object on
+    each call, as perfbench's tracer wraps the parse_args of each one."""
+    return SimpleNamespace(parse_args=_parse)
 
-    # argparse reads a token that starts with "-" as a value, not a flag,
-    # only in the forms -1 and -1.5. Each subparser's private matcher (the
-    # same attribute on Python 3.10-3.13) is set to this one, which also
-    # takes -1e-3 and, in any case, the -inf, -infinity and -nan that
-    # float() reads, so _finite names them.
-    negative_number = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
-    parser = argparse.ArgumentParser(
-        prog="qsagnac",
-        description="Rotating-disk matter-wave interferometer simulator",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, flags) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        p._negative_number_matcher = negative_number
-        # looked up per call, so a handler rebound on the module is the one run
-        p.set_defaults(run=globals()[f"cmd_{name}"])
-        if name == "hydrogen":
-            p = p.add_mutually_exclusive_group(required=True)
-        for flag, keywords in flags.items():
-            p.add_argument(flag, **keywords)
-    return parser
+
+def _help(name) -> str:
+    """The help text of the subcommand name, or of qsagnac for None: the
+    usage line, what it does, and a line for each subcommand or flag, with a
+    flag's placeholder or choices, then required or its default. Nothing
+    wraps, so the text is the same on every Python."""
+    about, flags = _SUBCOMMANDS.get(name, (_ABOUT, {}))
+    rows = {"-h, --help": "show this help message and exit"}
+    for flag, kw in flags.items():
+        shape = ("{" + ",".join(kw["choices"]) + "}" if "choices" in kw
+                 else kw.get("metavar", kw["type"].__name__.upper()))
+        if kw.get("required"):
+            note = "required"
+        elif name == "hydrogen":
+            note = "required: one of " + ", ".join(flags)
+        else:
+            note = f"default: {kw['default']}" if "default" in kw else "optional"
+        rows[f"{flag} {shape}"] = note
+    words = [word if note.startswith("required") else f"[{word}]"
+             for word, note in list(rows.items())[1:]]
+    if name is None:
+        words = ["{" + ",".join(_SUBCOMMANDS) + "} ..."]
+        rows.update((sub, entry[0]) for sub, entry in _SUBCOMMANDS.items())
+    elif name == "hydrogen":
+        words = ["(" + " | ".join(words) + ")"]
+    width = 2 + max(map(len, rows))
+    return "\n".join([f"usage: {_prog(name)} [-h] " + " ".join(words), "", about, "",
+                      *(f"  {key:{width}}{note}" for key, note in rows.items())])
+
+
+def _prog(name) -> str:
+    return "qsagnac" if name is None else f"qsagnac {name}"
+
+
+def _error(name, message: str) -> UsageError:
+    """The usage line, then "<prog>: error: <message>"."""
+    return UsageError(_help(name).partition("\n")[0] + f"\n{_prog(name)}: error: {message}")
+
+
+def _flag(token: str, flags, name):
+    """The flag of flags, or -h or --help, that token names before any "=":
+    in full, or by a prefix of one long flag alone. None if it names none."""
+    flag = token.partition("=")[0]
+    names = [*_HELP, *flags]
+    found = [flag] if flag in names else [
+        f for f in names if len(flag) > 2 and flag.startswith("--") and f.startswith(flag)]
+    if len(found) > 1:
+        raise _error(name, f"ambiguous option: {flag} could match {', '.join(found)}")
+    return found[0] if found else None
 
 
 def _parse(argv):
-    """The namespace build_parser().parse_args(argv) gives, read from
-    _SUBCOMMANDS, or None for argv that argparse must settle: help, errors
-    and abbreviated flags. A repeated flag keeps its last value, as in
-    argparse. A value after a space that starts with "-" needs no test: each
-    converter takes such a text only as -<digit>... or -.<digit>..., which
-    build_parser's matcher reads as a value, and no choice starts with "-"."""
-    if not argv or argv[0] not in _SUBCOMMANDS:
-        return None
-    name, tokens = argv[0], iter(argv[1:])
-    flags = _SUBCOMMANDS[name][1]
-    given = {}
+    """The namespace of argv, with run set to cmd_<name>, or, for -h or
+    --help, one whose run returns the help text. A flag may be cut to a
+    prefix that no other flag has. The token after a flag is its value,
+    "-1e-3" included. A repeated flag keeps its last value.
+
+    Raises UsageError for the first error, in this order: an ambiguous
+    prefix anywhere after the subcommand; then, token by token, a bad or
+    missing value, hydrogen's second flag, or a help flag with a value; then
+    a missing flag; then a token that names no flag; then solve's rules. So
+    a help flag is help unless an error comes before it, or the argv has an
+    ambiguous prefix. An error's usage line shows the choices it refers to."""
+    name, flags, given, stray = None, {}, {}, []
+    tokens = iter(argv)
     for token in tokens:
-        flag, eq, text = token.partition("=")
-        if not eq:
-            text = next(tokens, "-")  # missing: no converter or choice takes "-"
-        keywords = flags.get(flag)
-        if keywords is None:
-            return None
-        try:
-            value = keywords.get("type", str)(text)
-        except Exception:  # argparse words what the converter raised
-            return None
-        if value not in keywords.get("choices", (value,)):
-            return None
-        given[flag] = value
+        if name is None and (token[:1] != "-" or token == "-"):  # the subcommand
+            if token not in _SUBCOMMANDS:
+                raise _error(None, f"argument command: invalid choice: {token!r}")
+            name, flags = token, _SUBCOMMANDS[token][1]
+            for later in argv[argv.index(token) + 1:]:  # an ambiguous prefix first
+                _flag(later, flags, name)
+        elif (flag := _flag(token, flags, name)) is None:
+            stray.append(token)
+        elif flag in _HELP:
+            if "=" in token:
+                raise _error(name, "argument -h/--help: ignored explicit argument "
+                                   + repr(token.partition("=")[2]))
+            return SimpleNamespace(command="--help", run=lambda _: _help(name))
+        else:
+            _, eq, text = token.partition("=")
+            if not eq and (text := next(tokens, None)) is None:
+                raise _error(name, f"argument {flag}: expected one argument")
+            kw = flags[flag]
+            try:
+                given[flag] = value = kw.get("type", str)(text)
+            except ValueError as exc:
+                raise _error(name, f"argument {flag}: {exc}") from None
+            if value not in kw.get("choices", (value,)):
+                raise _error(name, f"argument {flag}: invalid choice: {text!r}")
+            if name == "hydrogen" and len(given) > 1:  # both flags of its group
+                other = min(given.keys() - {flag})
+                raise _error(name, f"argument {flag}: not allowed with argument {other}")
     missing = [f for f, kw in flags.items() if kw.get("required") and f not in given]
-    if missing or name == "hydrogen" and len(given) != 1:  # its one required group
-        return None
-    return SimpleNamespace(
-        command=name,
-        **{flag[2:]: given.get(flag, kw.get("default")) for flag, kw in flags.items()},
-        run=globals()[f"cmd_{name}"],  # looked up per call, as in build_parser
-    )
-
-
-def _validate(args) -> str | None:
-    if args.command == "solve":
-        target = args.target
-        given = "r2" if target == "omega2" else "omega2"
-        if getattr(args, given) is None:
-            return f"solve --target {target} requires --{given}"
-        if getattr(args, target) is not None:
-            return f"--{target} is the unknown when solving for {target}"
-    return None
+    if name is None or missing:
+        raise _error(name, "the following arguments are required: "
+                           + ", ".join(missing or ["command"]))
+    if name == "hydrogen" and not given:
+        raise _error(name, f"one of the arguments {' '.join(flags)} is required")
+    if stray:
+        raise _error(name, "unrecognized arguments: " + " ".join(stray))
+    values = {flag[2:]: given.get(flag, kw.get("default")) for flag, kw in flags.items()}
+    if name == "solve":  # the target is the unknown, and the other one is given
+        target, other = values["target"], {"omega2": "r2", "r2": "omega2"}[values["target"]]
+        if values[other] is None:
+            raise UsageError(f"usage error: solve --target {target} requires --{other}")
+        if values[target] is not None:
+            raise UsageError(f"usage error: --{target} is the unknown when solving for {target}")
+    # run is looked up per call, so a handler rebound on the module is the one run
+    return SimpleNamespace(command=name, **values, run=globals()[f"cmd_{name}"])
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = _parse(argv)
-    if args is None:  # so every usage text, message and exit code is argparse's
-        stdout, sys.stdout = sys.stdout, io.StringIO()  # argparse drops a failed help write
-        try:
-            args = build_parser().parse_args(argv)
-            # argparse on Python 3.10 and 3.11 strips "--" from --flag=-- and
-            # stores [] unconverted; parsing the bare flag exits 2 naming it
-            for name, value in vars(args).items():
-                if value == []:
-                    build_parser().parse_args([args.command, f"--{name}"])
-        except SystemExit as exc:  # argparse exits 2 on bad flags, 0 on --help
-            if exc.code:
-                return exc.code
-            text = sys.stdout.getvalue().removesuffix("\n")  # print adds it back
-            args = SimpleNamespace(command="--help", run=lambda _: text)
-        finally:
-            sys.stdout = stdout
-    message = _validate(args)
-    if message is not None:
-        print(f"usage error: {message}", file=sys.stderr)
+    try:
+        args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
         return 2
     if sys.stdout is None:  # started with stdout closed, as `>&-` does
         print("error: cannot write the output: stdout is closed", file=sys.stderr)

@@ -31,7 +31,9 @@ _REGIMES = tuple(RegimeStatus)  # the gate's verdicts by rank: OK, WARN, ERROR
 
 class SweepSpec(_Checked, namedtuple("SweepSpec", "varying start stop count base")):
     """`count` points of `varying` (one of VARY_CHOICES) from `start` to
-    `stop`, every other parameter taken from the InterferometerConfig `base`."""
+    `stop`, every other parameter taken from the InterferometerConfig `base`.
+    A sweep never reads `base`'s varied field, so it may hold 0.0, or any
+    value the config gate accepts."""
 
     __slots__ = ()
     # bound here, so the check holds where the module name is rebound to a

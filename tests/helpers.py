@@ -1,10 +1,12 @@
 """Helpers shared by the test modules: a random-configuration generator,
 an SVD/determinant oracle that shares no code with the package's closed
 forms (it works on the amplitudes of a PureState2x2), mpmath oracles for
-the concurrence and the entropy with an ulp distance, and a row-by-row
-reference for sweeps."""
+the concurrence and the entropy with an ulp distance, a row-by-row
+reference for sweeps, and argparse's reading of the CLI's argv."""
 
+import argparse
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -17,6 +19,7 @@ from qsagnac import (
     entangling_phase_value,
     entropy_from_concurrence,
 )
+from qsagnac import cli
 from qsagnac.constants import require_valid_config
 
 
@@ -126,48 +129,37 @@ def spec_argv(spec, fmt="csv"):
     ]
 
 
-def parser_interface(parser):
-    """The declared interface of an argparse parser and of its subparsers, as
-    plain data: each action's flags, dest, type name, required, choices,
-    default and help in declaration order, the mutually exclusive groups, and
-    each subcommand's help line. Structural rather than format_help() text,
-    whose layout differs between Python versions. tests/cli_interface.json is
-    this function of qsagnac's parser, written with
+def argparse_reference():
+    """The argparse parser that qsagnac.cli built from its subcommand table
+    before it read argv on its own, with solve's rules, which main checked
+    on the namespace: parse_args exits 2 where that CLI did, and 0 after
+    printing help. argparse reads a token that starts with "-" as a value,
+    not a flag, only in the forms -1 and -1.5; each subparser's private
+    matcher (the same attribute on Python 3.10-3.13) is set to one that also
+    takes -1e-3 and the -inf, -infinity and -nan that float() reads."""
+    negative_number = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
+    parser = argparse.ArgumentParser(
+        prog="qsagnac",
+        description="Rotating-disk matter-wave interferometer simulator",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, flags) in cli._SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        p._negative_number_matcher = negative_number
+        p.set_defaults(run=getattr(cli, f"cmd_{name}"))
+        if name == "hydrogen":
+            p = p.add_mutually_exclusive_group(required=True)
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **keywords)
+    parse_args = parser.parse_args
 
-        PYTHONPATH=src:tests python -c "import json, helpers, qsagnac.cli as c;
-        print(json.dumps(helpers.parser_interface(c.build_parser()), indent=1))"
-    """
-    actions, subcommands = [], {}
-    for action in parser._actions:
-        choices = action.choices
-        if hasattr(action, "_choices_actions"):  # the subparsers action
-            subcommands = {
-                pseudo.dest: {
-                    "help": pseudo.help,
-                    **parser_interface(choices[pseudo.dest]),
-                }
-                for pseudo in action._choices_actions
-            }
-            choices = list(choices)
-        actions.append(
-            {
-                "option_strings": action.option_strings,
-                "dest": action.dest,
-                "type": getattr(action.type, "__name__", None),
-                "required": action.required,
-                "choices": None if choices is None else list(choices),
-                "default": action.default,
-                "help": action.help,
-            }
-        )
-    groups = [
-        {"required": group.required, "dests": [a.dest for a in group._group_actions]}
-        for group in parser._mutually_exclusive_groups
-    ]
-    return {
-        "prog": parser.prog,
-        "description": parser.description,
-        "actions": actions,
-        "mutually_exclusive": groups,
-        "subcommands": subcommands,
-    }
+    def checked(argv):
+        args = parse_args(argv)
+        if args.command == "solve":
+            given = "r2" if args.target == "omega2" else "omega2"
+            if getattr(args, given) is None or getattr(args, args.target) is not None:
+                parser.exit(2, "usage error: solve's target rules\n")
+        return args
+
+    parser.parse_args = checked
+    return parser

@@ -13,9 +13,9 @@ import pytest
 import qsagnac
 from qsagnac import InterferometerConfig, SweepSpec, UnitSystem, sweep
 from qsagnac import chunks, cli, design
-from qsagnac.cli import build_parser, format_float, main, to_json
+from qsagnac.cli import format_float, main, to_json
 
-from helpers import parser_interface, spec_argv
+from helpers import spec_argv
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -213,14 +213,13 @@ def bare_python(code: str, *argv: str) -> str:
 # prints the qsagnac modules loaded so far, "|", then those of a few others
 LOADED = (
     "print(*sorted(m for m in sys.modules if m.startswith('qsagnac')), '|', "
-    "*sorted({'argparse', 're', 'gettext', 'typing', 'dataclasses', 'numpy'} "
+    "*sorted({'argparse', 're', 'gettext', 'locale', 'typing', 'dataclasses', 'numpy'} "
     "& sys.modules.keys()))"
 )
 
 
 def test_bare_import_loads_no_typing():
-    # the CLI loads argparse only for argv that the fast path declines, and
-    # each subcommand's modules only when it runs
+    # the CLI loads each subcommand's modules only when it runs
     assert bare_python("import sys, qsagnac.cli; " + LOADED) == (
         "qsagnac qsagnac.cli qsagnac.constants |\n"
     )
@@ -244,7 +243,7 @@ SUBCOMMAND_MODULES = {
 MODULES_PROBE = """
 import contextlib, io, sys
 from qsagnac.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     main(sys.argv[1:])
 """ + LOADED
 
@@ -257,9 +256,12 @@ def test_each_golden_invocation_loads_only_its_subcommand_modules():
             ["qsagnac", "qsagnac.cli", "qsagnac.constants"]
             + ["qsagnac." + m for m in SUBCOMMAND_MODULES[argv[0]]]
         ), name
-        # the fast path settles every golden argv, a negative value after a
-        # space too (sweep_mass.json's --start -500), so none loads argparse
         assert others.split() == [], name
+    # help and argument errors are written from the table: no subcommand's
+    # modules, and no argparse, gettext or locale
+    for argv in ["--help"], ["sweep", "--help"], ["entangle", "--m", "heavy"], ["hydrogen"]:
+        assert bare_python(MODULES_PROBE, *argv) == (
+            "qsagnac qsagnac.cli qsagnac.constants |\n"), argv
 
 
 PUBLIC_NAMES = """
@@ -357,8 +359,8 @@ NATURAL_CONFIG = ["--units", "natural", "--m", "1000", "--r1", "1",
 
 
 def test_negative_numbers_in_exponent_notation_are_values(capsys):
-    # argparse's own pattern reads "-1e-3" as an unknown flag ("expected one
-    # argument", exit 2); each must print what --flag=-1e-3 prints
+    # argparse's own pattern would read "-1e-3" as an unknown flag ("expected
+    # one argument", exit 2); each must print what --flag=-1e-3 prints
     cases = [
         (["phase", "--units", "natural", "--m", "1", "--r", "1"], "--omega", "-1e-3"),
         (["sweep", "--vary", "omega2", "--stop", "0.012", "--count", "5",
@@ -373,8 +375,8 @@ def test_negative_numbers_in_exponent_notation_are_values(capsys):
 
 
 def test_negative_non_finite_values_are_named(capsys):
-    # argparse's own pattern reads "-inf" as an unknown flag ("expected one
-    # argument"); each spelling float() reads must reach the finite check
+    # argparse's own pattern would read "-inf" as an unknown flag ("expected
+    # one argument"); each spelling float() reads must reach the finite check
     argv = ["phase", "--units", "natural", "--m", "1", "--r", "1"]
     for value in ["-inf", "-nan", "-Infinity", "-INF", "-NaN"]:
         joined = run(capsys, *argv, f"--omega={value}")
@@ -384,7 +386,8 @@ def test_negative_non_finite_values_are_named(capsys):
 
 
 def test_the_fast_path_takes_repeated_flags_and_negative_values(capsys):
-    # a repeated flag keeps its last value, as in argparse
+    # a repeated flag keeps its last value, and the token after a flag is its
+    # value, a negative number too, without loading argparse
     golden = GOLDEN_INVOCATIONS["entangle.json"]
     repeated = [*golden[:3], "--m", "1", *golden[3:]]  # --m 1 ... --m 1000
     assert run(capsys, *repeated) == (0, (GOLDEN_DIR / "entangle.json").read_text(), "")
@@ -395,10 +398,11 @@ def test_the_fast_path_takes_repeated_flags_and_negative_values(capsys):
 
 
 def test_every_flag_value_passes_a_converter_or_a_choice():
-    # the fast path reads a value after a space that starts with "-" as
-    # argparse does only because each converter takes such a text just in the
-    # forms argparse reads as numbers, and no choice starts with "-"; a
-    # free-text flag would part the two
+    # the parser takes the token after a flag as its value; argparse, the
+    # property tests' reference, reads one that starts with "-" as a value
+    # only in the forms of a number. The two agree because each converter
+    # takes such a text only as a number, and no choice starts with "-"; a
+    # free-text flag would part them
     for name, (_, flags) in cli._SUBCOMMANDS.items():
         for flag, keywords in flags.items():
             assert "type" in keywords or "choices" in keywords, (name, flag)
@@ -406,14 +410,16 @@ def test_every_flag_value_passes_a_converter_or_a_choice():
             assert not any(c.startswith("-") for c in choices), (name, flag)
 
 
-def test_an_abbreviated_flag_takes_a_negative_value_through_argparse(capsys):
-    # the fast path declines an abbreviation, so "-1e3" after --omeg is read
-    # by build_parser's negative-number matcher, its one job left on success
-    argv = ["phase", "--m", "1e-20", "--omeg", "-1e3", "--r", "0.01"]
-    assert cli._parse(argv) is None
+def test_an_abbreviated_flag_takes_a_negative_value(capsys):
+    # a prefix that no other flag has names its flag, and the token after it
+    # is its value; a flag in full is never a prefix (--r is not --r2)
     joined = run(capsys, "phase", "--m", "1e-20", "--omega=-1e3", "--r", "0.01")
     assert joined[0] == 0
-    assert run(capsys, *argv) == joined
+    assert run(capsys, "phase", "--m", "1e-20", "--omeg", "-1e3", "--r", "0.01") == joined
+    assert run(capsys, "phase", "--m", "1e-20", "--om=-1e3", "--r", "0.01") == joined
+    code, out, err = run(capsys, "entangle", "--om", "1")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: ambiguous option: --om could match --omega1, --omega2\n")
 
 
 def test_state_amplitudes_as_re_im_pairs(capsys):
@@ -455,6 +461,32 @@ def test_sweep_csv(capsys):
     # repeated run is bit-identical
     code, again, _ = run(capsys, *argv)
     assert again == out
+
+
+def test_a_sweep_never_gates_the_base_value_it_varies(capsys):
+    # no row reads the varied flag's own value, so one the gate refuses (a
+    # rim at beta = 7.07, a negative mass) changes nothing
+    natural = ["--format", "csv", "--units", "natural", "--r1", "1",
+               "--r2", "1.41421356237", "--omega1", "0.01"]
+    cases = [
+        (["sweep", "--vary", "omega2", "--start", "0.009", "--stop", "0.012",
+          "--count", "3", *natural, "--m", "1000"], "--omega2", "5", "0.0105"),
+        (["sweep", "--vary", "mass", "--start", "1", "--stop", "3", "--count", "3",
+          *natural, "--omega2", "0.0105"], "--m", "-1", "1000"),
+    ]
+    for argv, flag, refused, valid in cases:
+        code, out, err = run(capsys, *argv, f"{flag}={refused}")
+        assert (code, err) == (0, ""), flag
+        assert len(out.splitlines()) == 4
+        assert run(capsys, *argv, f"{flag}={valid}") == (0, out, "")
+
+
+def test_a_sweep_whose_fixed_flags_put_the_rim_at_light_speed_is_refused(capsys):
+    argv = ["sweep", "--vary", "mass", "--start", "1", "--stop", "3", "--count", "3",
+            "--format", "csv", "--units", "natural", "--m", "1", "--r1", "1",
+            "--r2", "1.41421356237", "--omega1", "1.5", "--omega2", "0.0105"]
+    assert run(capsys, *argv) == (
+        1, "", "error: rim speed beta = 2.12132 is outside the linear regime\n")
 
 
 def test_sweep_over_the_largest_span_is_quiet(capsys):
@@ -718,8 +750,8 @@ def test_argument_errors_exit_2(capsys):
 
 
 def with_double_dash(name, flag):
-    """A golden argv of subcommand name, with flag given as flag=--, which
-    argparse on Python 3.10 and 3.11 stores as [] without its converter."""
+    """A golden argv of subcommand name, with flag given as flag=--: argparse
+    on Python 3.10 and 3.11 stored that as [] without its converter."""
     argvs = [argv for argv in GOLDEN_INVOCATIONS.values() if argv[0] == name]
     argv = list(next((argv for argv in argvs if flag in argv), argvs[0]))
     if flag in argv:
@@ -735,15 +767,6 @@ def test_an_explicit_double_dash_value_is_an_argument_error(capsys, name, flag):
     assert (code, out) == (2, "")
     assert err.startswith("usage:") and "Traceback" not in err
     assert f"argument {flag}:" in err
-
-
-def test_the_parser_declares_the_pinned_interface():
-    # every flag's order, type, default, choices and help, each subcommand's
-    # help line and hydrogen's one required group: a reordered flag changes a
-    # usage line. Compared as data, since format_help() text differs between
-    # Python versions.
-    pinned = json.loads((Path(__file__).parent / "cli_interface.json").read_text())
-    assert parser_interface(build_parser()) == pinned
 
 
 def test_solve_target_usage_messages(capsys):
@@ -865,8 +888,7 @@ def test_a_reader_that_is_gone_before_a_short_output_gets_no_traceback():
 @pytest.mark.parametrize("argv, env", [
     (["constants"], {}),
     (sweep_argv(3000, "csv"), {}),
-    # argparse writes help itself, and drops a failed write: unbuffered, at
-    # once, and buffered, at the flush on exit
+    # help, unbuffered and buffered
     *((argv, {"PYTHONUNBUFFERED": unbuffered})
       for argv in (["--help"], ["sweep", "--help"]) for unbuffered in ("1", "")),
 ], ids=["constants", "sweep", "help-unbuffered", "help-buffered",
@@ -889,13 +911,59 @@ def test_a_failed_write_exits_1_with_one_error_line(argv, env, redirect):
         os.killpg(proc.pid, 0)
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
-def test_help_is_written_as_argparse_prints_it(capsys, argv):
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(argv)
-    printed = capsys.readouterr().out
-    assert printed.startswith("usage: qsagnac")
-    assert run(capsys, *argv) == (0, printed, "")
+HELP_DIR = GOLDEN_DIR / "help"
+
+# The help argv of each file in tests/golden/help: qsagnac's, then each
+# subcommand's, each spelled a way that -h can be
+HELP_ARGV = [["--help"], ["sweep", "--help"], ["constants", "-h"], ["metric", "--he"],
+             ["phase", "--m", "1", "-h"], ["state", "heavy", "--help"], ["entangle", "-h"],
+             ["solve", "--hel"], ["hydrogen", "--help", "--n", "x"]]
+
+
+def help_file(argv):
+    return HELP_DIR / f"{argv[0] if argv[0] in cli._SUBCOMMANDS else 'qsagnac'}.txt"
+
+
+@pytest.mark.parametrize("argv", HELP_ARGV)
+def test_help_is_written_as_its_golden_shows_it(capsys, argv):
+    assert run(capsys, *argv) == (0, help_file(argv).read_text(), "")
+
+
+def test_every_help_text_has_a_golden():
+    assert sorted(map(help_file, HELP_ARGV)) == sorted(set(HELP_DIR.glob("*.txt"))
+                                                       - {HELP_DIR / "errors.txt"})
+    for name, (_, flags) in cli._SUBCOMMANDS.items():  # a line per flag, in order
+        lines = (HELP_DIR / f"{name}.txt").read_text().splitlines()[5:]
+        assert [line.split()[0] for line in lines] == list(flags), name
+
+
+# One argv for each kind of argument error, in the order of errors.txt
+ERROR_ARGV = [
+    ["entangle", "--m", "heavy"],                      # a bad value
+    ["phase", "--m", "1", "--omega=inf", "--r", "1"],  # a value that is not finite
+    ["hydrogen", "--pair", "1"],                       # a bad pair
+    ["solve", "--target", "k"],                        # a bad choice
+    ["constants", "--bogus", "1"],                     # an unknown flag and a stray word
+    ["entangle", "--om", "1"],                         # an ambiguous abbreviation
+    ["sweep", "--vary"],                               # a missing value
+    ["phase", "--m", "1"],                             # missing required flags
+    ["hydrogen"],                                      # hydrogen's group, none given
+    ["hydrogen", "--n", "1", "--pair", "1,2"],         # hydrogen's group, both given
+    [],                                                # no subcommand
+    ["nonsense"],                                      # an unknown subcommand
+    ["entangle", "--m=--"],                            # --flag=--
+    ["constants", "--help=yes"],                       # a help flag with a value
+]
+
+
+def test_argument_errors_are_written_as_their_golden_shows_them(capsys):
+    # each is the usage line and one error line, exit 2 and nothing on stdout
+    texts = []
+    for argv in ERROR_ARGV:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (2, "", 2), argv
+        texts.append(f"$ {shlex.join(['qsagnac', *argv])}\n{err}")
+    assert "\n".join(texts) == (HELP_DIR / "errors.txt").read_text()
 
 
 def test_an_argument_error_with_stdout_closed_still_exits_2():

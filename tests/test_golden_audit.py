@@ -47,8 +47,8 @@ def golden_figures():
     goldens, with source the delta or the concurrence it is computed from.
     Every record prints delta before its concurrence and the concurrence
     before its entropy, in a JSON file as on a line of library.txt or of a
-    CSV sweep."""
-    for path in sorted(GOLDEN.iterdir()):
+    CSV sweep. The help texts, in a folder of their own, print no figure."""
+    for path in sorted(path for path in GOLDEN.iterdir() if path.is_file()):
         lines = path.read_text().splitlines()
         seen = {}
         for number, line in enumerate(lines, 1):

@@ -2,7 +2,8 @@
 the sweep grid, of the sweep plan and rows against a row-by-row
 reference, of the entanglement report and the solvers over drawn SI and
 natural inputs, and of the CLI's exit-code contract over argv drawn from
-its subcommand table, and of the CLI's argv fast path against argparse."""
+its subcommand table, and of the CLI's parser against argparse's reading
+of the same table."""
 
 import contextlib
 import io
@@ -40,18 +41,25 @@ from qsagnac import (
 )
 from qsagnac.cli import (
     _SUBCOMMANDS,
-    _finite,
+    UsageError,
     _parse,
-    build_parser,
     format_float,
     main,
+    number,
     to_json,
 )
 from qsagnac.constants import ERROR_BETA, require_valid_config
 from qsagnac.design import VARY_CHOICES, _grid, _sweep_plan
 from qsagnac.state import MAXIMAL_TOL
 
-from helpers import ROW_NAMES, exact_entropy_bits, reference_sweep_rows, spec_argv, ulps
+from helpers import (
+    ROW_NAMES,
+    argparse_reference,
+    exact_entropy_bits,
+    reference_sweep_rows,
+    spec_argv,
+    ulps,
+)
 
 
 def bits(x: float) -> bytes:
@@ -547,7 +555,7 @@ INTEGERS = st.integers(-3, 3) | st.integers(-(10**400), 10**400)
 def flag_values(flag, keywords):
     if "choices" in keywords:
         return st.sampled_from(list(keywords["choices"]))
-    if keywords["type"] is _finite:
+    if keywords["type"] is number:
         return NUMBERS.map(repr)  # repr round-trips every double
     if flag == "--count":
         return st.integers(1, 50).map(str)
@@ -641,19 +649,39 @@ def run_captured(call):
 @example(["phase", "--m=-1", "--omega=-inf", "--r", "1"])
 @example(["phase", "--m", "1", "--r", "1"])
 @example(["phase", "--m", "1", "--omega", "0", "--r"])
+@example(["phase", "--r", "1", "--m", "1", "--omega", "0"])  # --r is no prefix of --r2
 @example(["constants", "--units", "heavy"])
 @example(["constants", "--unit", "natural"])
+@example(["constants", "--units=si", "--help=yes"])
 @example(["sweep", "-h"])
 @example(["-h"])
+@example([])
 @example(["hydrogen"])
 @example(["hydrogen", "--n", "1", "--pair", "1,2"])
+@example(["hydrogen", "--n", "1", "--pair", "1,2", "-h"])  # the conflict comes first
+@example(["entangle", "heavy", "-h"])  # a stray word is reported only after the scan
+@example(["entangle", "--m", "heavy", "-h"])  # a bad value comes first
+@example(["entangle", "-h", "--om", "1"])  # an ambiguous prefix comes first
 @example(["entangle", "--m", "1", "--m", "2", "--r1", "1", "--r2", "2",
           "--omega1", "0.01", "--omega2", "0.02"])
-def test_the_fast_path_agrees_with_argparse(argv):
-    fast = _parse(argv)
-    parsed, out, err = run_captured(lambda: build_parser().parse_args(argv))
-    if fast is not None:  # accepted: argparse gives the same namespace
-        assert (out, err) == ("", "")
-        assert vars(fast) == vars(parsed)
-    elif not hasattr(parsed, "run"):  # declined, and argparse exits
-        assert run_captured(lambda: main(argv)) == (parsed or 0, out, err)
+@example(["solve", "--target", "omega2", "--m", "1", "--r1", "1", "--omega1", "0.01",
+          "--k", "0"])
+def test_the_parser_agrees_with_argparse(argv):
+    # accepted by both with equal namespaces, help from both for the same
+    # subcommand, or exit 2 from both; the texts of help and errors differ
+    expected, out, _ = run_captured(lambda: argparse_reference().parse_args(argv))
+    try:
+        parsed = _parse(argv)
+    except UsageError:
+        parsed = 2
+    if expected == 2:
+        assert parsed == 2
+        code, out, err = run_captured(lambda: main(argv))
+        assert (code, out) == (2, "")
+        assert err.endswith("\n") and "Traceback" not in err
+    elif expected == 0:
+        assert parsed.command == "--help"
+        usage = out.partition(" [-h]")[0]  # "usage: qsagnac" and the subcommand
+        assert parsed.run(parsed).partition(" [-h]")[0] == usage
+    else:
+        assert vars(parsed) == vars(expected)
